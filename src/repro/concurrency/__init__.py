@@ -60,6 +60,7 @@ from repro.concurrency.scheduler import (
     current_vid,
     guard_mutation,
     installed,
+    phys_journal,
     record_phys_write,
     release_locks,
     resolve_engine,
@@ -111,6 +112,7 @@ __all__ = [
     "lock_rank",
     "locality_key",
     "order_locks",
+    "phys_journal",
     "prefix_cache_enabled",
     "process_arena",
     "process_tree",

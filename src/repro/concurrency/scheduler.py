@@ -794,11 +794,24 @@ def guard_mutation(name):
     sched.locks.check_mutation(task.vid, name)
 
 
+def phys_journal() -> Optional[Dict[int, int]]:
+    """The running task's undo journal (word index -> pre-write value).
+
+    None when hooks are suspended, outside any vCPU task, or when the
+    task has no open transactional scope.  This is the one place that
+    decides whether a physical write is journaled.  Frame operations
+    resolve it once per frame and ``setdefault`` into it word by word
+    (first write wins); their loops hold no yield point, so the scope
+    cannot change mid-frame.
+    """
+    task = current_task()
+    if task is None or task.txn_scope is None or _suspended():
+        return None
+    return task.txn_scope.journal
+
+
 def record_phys_write(index, old_value):
     """Journal a physical-memory word about to be overwritten."""
-    if _suspended():
-        return
-    task = current_task()
-    if task is None or task.txn_scope is None:
-        return
-    task.txn_scope.record_word(index, old_value)
+    journal = phys_journal()
+    if journal is not None:
+        journal.setdefault(index, old_value)

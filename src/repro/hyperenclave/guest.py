@@ -89,7 +89,18 @@ class PrimaryOS:
     # -- guest page-table construction (plain memory writes) ------------------------------
 
     def reserve_table_frame(self) -> int:
-        """Pick an untrusted frame to hold a guest page table."""
+        """Pick an untrusted frame to hold a guest page table, zeroed
+        through the EPT like any other guest store.
+
+        The frame's base is translated once, through one EPT walk, and
+        each word is then written with ``phys.write_word``: the yield
+        point, fault filter and journal entry stay per word, only the
+        translation is per frame.  A store can move its own translation
+        only by landing on an EPT table frame that walk read, which a
+        correct monitor never maps for the guest; in that case every
+        word is translated afresh, exactly as a sequence of
+        :meth:`gpa_write_word` calls would.
+        """
         while self._next_table_frame in self._reserved_frames:
             self._next_table_frame += 1
         frame = self._next_table_frame
@@ -97,10 +108,15 @@ class PrimaryOS:
             raise HypervisorError("untrusted memory exhausted for GPTs")
         self._reserved_frames.add(frame)
         self._next_table_frame += 1
-        # zero it through the EPT like any other guest store
         base = self.config.frame_base(frame)
-        for offset in range(self.config.words_per_page):
-            self.gpa_write_word(base + offset * WORD_BYTES, 0)
+        walk = self.ept.walk(base)
+        hpa = self.ept.resolve(walk, write=True)
+        aliased = self.config.frame_of(hpa) in {
+            step.table_frame for step in walk.steps}
+        for offset in range(0, self.config.page_size, WORD_BYTES):
+            if aliased and offset:
+                hpa = self.ept.translate(base, write=True)
+            self.phys.write_word(hpa + offset, 0)
         return frame
 
     def reserve_data_frame(self) -> int:

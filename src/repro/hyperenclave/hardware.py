@@ -11,7 +11,7 @@ construction and the interesting proofs are about everything above.
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.concurrency import scheduler as conc
 from repro.errors import HypervisorError
@@ -24,8 +24,17 @@ class PhysMemory:
 
     Semantically a dense array of ``phys_bytes / 8`` words initialised to
     zero; stored sparsely so the full x86-64 geometry (4 GiB) is as cheap
-    as the tiny one.  All views (snapshots, frame words) present the
-    dense semantics.
+    as the tiny one.  The store holds nonzero words only: every mutator
+    drops a word that becomes zero.  All views (snapshots, frame words)
+    present the dense semantics.
+
+    Granularity of the hooks the checkers see.  Per word:
+    :meth:`write_word`'s ``phys.write`` yield point, its fault filter
+    (``phys.write`` / ``phys.flip``) and its journal entry;
+    :meth:`copy_frame`'s fault filter and journal entry;
+    :meth:`zero_frame`'s journal entry.  Per frame: the single
+    ``phys.write`` yield of :meth:`zero_frame` and :meth:`copy_frame`,
+    and their one lookup of the running task's undo journal.
     """
 
     def __init__(self, config):
@@ -84,44 +93,64 @@ class PhysMemory:
     # -- frame helpers --------------------------------------------------------------
 
     def zero_frame(self, frame):
-        """Clear every word of one frame (one yield per frame)."""
+        """Clear every word of one frame.
+
+        One ``phys.write`` yield and one journal lookup per frame; every
+        word is still journaled (zero words included, first write wins).
+        Zeroing has no fault-filter site.
+        """
         base = self.config.frame_base(frame) // WORD_BYTES
         conc.yield_point("phys.write", f"zero frame {frame}")
+        journal = conc.phys_journal()
         self._version += 1
         self._dirty_frames.add(frame)
-        for offset in range(self.config.words_per_page):
-            conc.record_phys_write(base + offset,
-                                   self._words.get(base + offset, 0))
-            self._words.pop(base + offset, None)
+        words = self._words
+        for index in range(base, base + self.config.words_per_page):
+            old_value = words.pop(index, 0)
+            if journal is not None:
+                journal.setdefault(index, old_value)
 
     def copy_frame(self, dst_frame, src_frame):
         """Copy a whole frame (zeros included).
 
-        Each destination word goes through the same fault sites as
+        One ``phys.write`` yield and one journal lookup per frame.  Each
+        destination word goes through the same fault filter as
         :meth:`write_word`, so the EADD frame copy is injectable
-        word-by-word.
+        word-by-word; per word the order is filter, journal, store.
         """
         dst = self.config.frame_base(dst_frame) // WORD_BYTES
         src = self.config.frame_base(src_frame) // WORD_BYTES
         conc.yield_point("phys.write",
                          f"copy frame {src_frame}->{dst_frame}")
+        journal = conc.phys_journal()
         self._version += 1
         self._dirty_frames.add(dst_frame)
+        words = self._words
         for offset in range(self.config.words_per_page):
-            value = self._words.get(src + offset, 0)
-            value = faults.filter_write((dst + offset) * WORD_BYTES, value)
-            conc.record_phys_write(dst + offset,
-                                   self._words.get(dst + offset, 0))
+            index = dst + offset
+            value = faults.filter_write(index * WORD_BYTES,
+                                        words.get(src + offset, 0))
+            if journal is not None:
+                journal.setdefault(index, words.get(index, 0))
             if value == 0:
-                self._words.pop(dst + offset, None)
+                words.pop(index, None)
             else:
-                self._words[dst + offset] = value
+                words[index] = value
 
     def frame_words(self, frame) -> Tuple[int, ...]:
         """The frame's contents as an immutable word tuple."""
         base = self.config.frame_base(frame) // WORD_BYTES
         return tuple(self._words.get(base + offset, 0)
                      for offset in range(self.config.words_per_page))
+
+    def nonzero_frames(self) -> Set[int]:
+        """Every frame holding at least one nonzero word.
+
+        O(nonzero words): the sparse store holds nothing else, so no
+        frame's words are built to find out it is all zero.
+        """
+        wpp = self.config.words_per_page
+        return {index // wpp for index in self._words}
 
     def fill_frame(self, frame, pattern):
         """Fill a frame with one repeated word."""

@@ -277,9 +277,15 @@ class PageTable:
         permission semantics: the hierarchical rule at every
         intermediate level (x86 ANDs W/U across levels; VMSAv8 uses
         APTable) plus the leaf's W/U bits and access flag."""
-        va = self.config.canonical_va(va)
+        return self.resolve(self.walk(va), write=write, user=user)
+
+    def resolve(self, result, write=False, user=True) -> int:
+        """The byte address a finished :meth:`walk` translates to, under
+        :meth:`translate`'s permission semantics (raises the same
+        :class:`TranslationFault`).  For callers that also need the
+        walk's spine, so one walk serves both."""
+        va = result.va
         spec = self.config.arch
-        result = self.walk(va)
         if not result.complete:
             raise TranslationFault(
                 f"{self.name}: no mapping for {va:#x}", va=va)

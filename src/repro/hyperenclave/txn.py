@@ -134,9 +134,11 @@ class TxnScope:
     """The undo footprint of one in-flight concurrent hypercall.
 
     * ``journal`` — physical words overwritten by *this* task, first
-      write wins (fed by :func:`repro.concurrency.scheduler
-      .record_phys_write`).  Covers every page-table entry, frame copy,
-      and scrub, because all tables live in physical memory.
+      write wins.  ``PhysMemory`` writes into it directly through
+      :func:`repro.concurrency.scheduler.phys_journal` (per word for
+      ``write_word``, resolved once per frame for ``zero_frame`` and
+      ``copy_frame``).  Covers every page-table entry, frame copy, and
+      scrub, because all tables live in physical memory.
     * ``structures`` — value snapshots of each lock-guarded structure,
       taken lazily when the lock is acquired.  Under strict 2PL no
       other task can have mutated a structure between acquire and
@@ -152,9 +154,6 @@ class TxnScope:
     @classmethod
     def begin(cls, monitor, vid) -> "TxnScope":
         return cls(vid=vid, cpu=monitor.cpus[vid].snapshot())
-
-    def record_word(self, index, old_value):
-        self.journal.setdefault(index, old_value)
 
     def snapshot_structure(self, monitor, lock_name):
         """Capture the acquire-time value of one lock-guarded structure

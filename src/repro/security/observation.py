@@ -65,20 +65,20 @@ def _observe_host(state) -> Observation:
                      for va, pa, size, flags
                      in sorted(monitor.os_ept.mappings()))
     # (4) untrusted memory contents, minus marshalling-buffer backings
-    # (shared; their contents are declassified via oracles).
+    # (shared; their contents are declassified via oracles).  All-zero
+    # frames are left out, so only frames holding a nonzero word are
+    # ever built.
     shared_frames = set()
     for enclave in monitor.enclaves.values():
         if enclave.mbuf is None:
             continue
         for _va, pa in enclave.mbuf.pages(config):
             shared_frames.add(config.frame_of(pa))
-    pages = []
-    for frame in monitor.layout.untrusted_frames:
-        if frame in shared_frames:
-            continue
-        words = monitor.phys.frame_words(frame)
-        if any(words):
-            pages.append((("untrusted", frame), words))
+    untrusted = monitor.layout.untrusted_frames
+    pages = tuple(
+        (("untrusted", frame), monitor.phys.frame_words(frame))
+        for frame in sorted(monitor.phys.nonzero_frames())
+        if frame in untrusted and frame not in shared_frames)
     # Host-visible metadata: the lifecycle bookkeeping it drives itself.
     metadata = tuple(sorted(
         (eid, enclave.state.value, enclave.elrange_base,
@@ -92,7 +92,7 @@ def _observe_host(state) -> Observation:
         cpu_regs=monitor.vcpu.context() if is_active else None,
         saved_context=monitor.saved_host_context,
         page_mappings=mappings,
-        memory_pages=tuple(pages),
+        memory_pages=pages,
         metadata=metadata,
     )
 

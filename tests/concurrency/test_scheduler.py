@@ -83,6 +83,7 @@ class TestInstrumentationPlane:
         conc.yield_point("step", "outside")          # must not raise
         conc.guard_mutation("epcm")
         conc.record_phys_write(0, 0)
+        assert conc.phys_journal() is None
         assert conc.release_locks("outside") == ()
 
     def test_suspended_silences_yields(self):

@@ -2,9 +2,12 @@
 
 import pytest
 
-from repro.errors import TranslationFault
+from repro.errors import FaultInjected, ReproError, TranslationFault
+from repro.faults import FaultPlane, installed
+from repro.faults.plane import SITE_PHYS_FLIP, SITE_PHYS_WRITE
 from repro.hyperenclave import pte
-from repro.hyperenclave.constants import TINY
+from repro.hyperenclave.constants import TINY, TINY_ARM, WORD_BYTES
+from repro.hyperenclave.monitor import RustMonitor
 
 from tests.conftest import build_enclave_world
 
@@ -106,3 +109,118 @@ class TestAdversarialReach:
             with pytest.raises(TranslationFault):
                 monitor.primary_os.gpa_write_word(TINY.frame_base(frame),
                                                   0xBAD)
+
+
+ARCHES = pytest.mark.parametrize("config", [TINY, TINY_ARM],
+                                 ids=lambda config: config.name)
+
+
+def reference_zeroing(primary_os, frame):
+    """Zero ``frame`` the per-word way: one EPT translation per word."""
+    base = primary_os.config.frame_base(frame)
+    for offset in range(0, primary_os.config.page_size, WORD_BYTES):
+        primary_os.gpa_write_word(base + offset, 0)
+
+
+def outcome(action):
+    """``(exception type, message)`` of running ``action``, or None."""
+    try:
+        action()
+    except ReproError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def stale_world(config, frame, os_huge_pages=True):
+    """A fresh monitor whose next guest table frame is ``frame`` and
+    holds stale nonzero words."""
+    monitor = RustMonitor(config, os_huge_pages=os_huge_pages)
+    monitor.primary_os._next_table_frame = frame
+    base = config.frame_base(frame)
+    for offset in range(0, config.page_size, 3 * WORD_BYTES):
+        monitor.primary_os.gpa_write_word(base + offset, offset + 1)
+    return monitor
+
+
+class TestFrameZeroing:
+    """``reserve_table_frame`` translates once per frame but must stay
+    indistinguishable from one ``gpa_write_word`` per word."""
+
+    @ARCHES
+    def test_phys_write_site_hit_once_per_word(self, config):
+        zeroed, reference = stale_world(config, 3), stale_world(config, 3)
+        plane = FaultPlane(record_only=True)
+        with installed(plane):
+            assert zeroed.primary_os.reserve_table_frame() == 3
+        plane_ref = FaultPlane(record_only=True)
+        with installed(plane_ref):
+            reference_zeroing(reference.primary_os, 3)
+        assert plane.counts[SITE_PHYS_WRITE] == config.words_per_page
+        assert plane.counts[SITE_PHYS_FLIP] == config.words_per_page
+        assert plane.hit_labels == plane_ref.hit_labels
+        assert zeroed.phys.frame_words(3) == (0,) * config.words_per_page
+        assert zeroed.phys.snapshot() == reference.phys.snapshot()
+
+    @ARCHES
+    @pytest.mark.parametrize("hit", [0, 1, 7])
+    def test_armed_write_fault_stops_at_the_same_word(self, config, hit):
+        zeroed, reference = stale_world(config, 3), stale_world(config, 3)
+        results = []
+        for action in (zeroed.primary_os.reserve_table_frame,
+                       lambda: reference_zeroing(reference.primary_os, 3)):
+            plane = FaultPlane()
+            plane.arm(SITE_PHYS_WRITE, index=hit)
+            with installed(plane):
+                results.append(outcome(action))
+        assert results[0] == results[1]
+        assert results[0][0] is FaultInjected
+        assert zeroed.phys.snapshot() == reference.phys.snapshot()
+
+    @ARCHES
+    @pytest.mark.parametrize("frame", [0, 5])
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3, "off-spine"])
+    def test_ept_aliasing_its_own_table_matches_per_word(self, config,
+                                                         frame, depth):
+        """A hand-built broken EPT maps the zeroed GPA onto one of its
+        own table frames: on the walk's spine (``depth`` levels below
+        the root) the zeroing rewrites its own translation; off it, the
+        one translation stays valid for the whole frame."""
+        worlds = []
+        for _ in range(2):
+            monitor = stale_world(config, frame, os_huge_pages=False)
+            ept = monitor.os_ept
+            walk = ept.walk(config.frame_base(frame))
+            spine = [step.table_frame for step in walk.steps]
+            assert len(spine) == config.levels
+            if depth == "off-spine":
+                target = next(table for table in ept.table_frames()
+                              if table not in spine)
+            else:
+                target = spine[depth]
+            leaf = walk.steps[-1]
+            ept.write_entry(leaf.table_frame, leaf.index, pte.pte_set_addr(
+                leaf.entry, config.frame_base(target), config))
+            worlds.append(monitor)
+        zeroed, reference = worlds
+        got = outcome(zeroed.primary_os.reserve_table_frame)
+        want = outcome(lambda: reference_zeroing(reference.primary_os,
+                                                 frame))
+        assert got == want
+        if depth == "off-spine":
+            assert got is None
+        else:
+            assert got[0] is TranslationFault
+        assert zeroed.phys.snapshot() == reference.phys.snapshot()
+
+    @ARCHES
+    def test_translation_fault_on_first_word_writes_nothing(self, config):
+        monitor = stale_world(config, 3)
+        ept = monitor.os_ept
+        leaf = ept.walk(config.frame_base(3)).steps[-1]
+        ept.write_entry(leaf.table_frame, leaf.index, pte.pte_empty())
+        before = monitor.phys.snapshot()
+        plane = FaultPlane(record_only=True)
+        with installed(plane), pytest.raises(TranslationFault):
+            monitor.primary_os.reserve_table_frame()
+        assert monitor.phys.snapshot() == before
+        assert plane.counts.get(SITE_PHYS_WRITE, 0) == 0

@@ -1,11 +1,17 @@
 """Physical memory (sparse-but-dense-semantics), TLB, vCPU."""
 
-import pytest
-from hypothesis import given, strategies as st
+from types import SimpleNamespace
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.concurrency import DeterministicScheduler, scheduler as conc
 from repro.errors import HypervisorError
-from repro.hyperenclave.constants import TINY
-from repro.hyperenclave.hardware import GPR_NAMES, PhysMemory, Tlb, VCpu
+from repro.hyperenclave.constants import TINY, TINY_ARM, WORD_BYTES
+from repro.hyperenclave.hardware import (
+    GPR_NAMES, CpuLocal, PhysMemory, Tlb, VCpu,
+)
+from repro.hyperenclave.txn import TxnScope
 
 
 class TestPhysMemory:
@@ -93,6 +99,104 @@ class TestPhysMemory:
             dense[index] = value
         for index, value in dense.items():
             assert phys.read_word(index * 8) == value
+
+
+    def test_nonzero_frames(self):
+        phys = PhysMemory(TINY)
+        assert phys.nonzero_frames() == set()
+        phys.write_word(TINY.frame_base(2) + 8, 1)
+        phys.write_word(TINY.frame_base(5), 3)
+        phys.write_word(TINY.frame_base(7), 0)
+        assert phys.nonzero_frames() == {2, 5}
+        phys.write_word(TINY.frame_base(5), 0)
+        phys.zero_frame(2)
+        assert phys.nonzero_frames() == set()
+
+
+def run_in_scope(phys, body):
+    """Run ``body`` as a scheduled vCPU task holding an open
+    :class:`TxnScope`; returns the stand-in monitor and the scope."""
+    monitor = SimpleNamespace(phys=phys, cpus=[CpuLocal(VCpu(), Tlb())])
+    scopes = []
+
+    def task():
+        running = conc.current_task()
+        running.txn_scope = TxnScope.begin(monitor, running.vid)
+        try:
+            body()
+        finally:
+            scopes.append(running.txn_scope)
+            running.txn_scope = None
+
+    result = DeterministicScheduler(monitor, [task]).run()
+    assert not result.task_errors, result.task_errors
+    return monitor, scopes[0]
+
+
+FRAMES = 4
+WORD_VALUES = st.integers(0, 2 ** 64 - 1)
+
+
+class TestFrameJournal:
+    """``zero_frame``/``copy_frame`` look the journal up once per frame;
+    what they journal must equal per-word first-write-wins recording."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(config=st.sampled_from([TINY, TINY_ARM]), data=st.data())
+    def test_frame_ops_journal_like_per_word_writes(self, config, data):
+        wpp = config.words_per_page
+        indices = st.integers(0, FRAMES * wpp - 1)
+        contents = data.draw(st.dictionaries(indices, WORD_VALUES,
+                                             max_size=40))
+        earlier = data.draw(st.dictionaries(indices, WORD_VALUES,
+                                            max_size=12))
+        op = data.draw(st.sampled_from(["zero", "copy"]))
+        dst = data.draw(st.integers(0, FRAMES - 1))
+        src = data.draw(st.integers(0, FRAMES - 1))
+        phys = PhysMemory(config)
+        for index, value in contents.items():
+            phys.write_word(index * WORD_BYTES, value)
+        before = phys.snapshot()
+        dst_words = range(dst * wpp, (dst + 1) * wpp)
+        seen = {}
+
+        def body():
+            # Words written earlier in the same transaction.
+            for index, value in earlier.items():
+                phys.write_word(index * WORD_BYTES, value)
+            reference = dict(conc.phys_journal())
+            for index in dst_words:
+                reference.setdefault(index,
+                                     phys.read_word(index * WORD_BYTES))
+            seen["reference"] = reference
+            if op == "zero":
+                phys.zero_frame(dst)
+            else:
+                phys.copy_frame(dst, src)
+
+        monitor, scope = run_in_scope(phys, body)
+        assert scope.journal == seen["reference"]
+        scope.rollback(monitor)
+        assert phys.snapshot() == before
+
+    @pytest.mark.parametrize("config", [TINY, TINY_ARM],
+                             ids=lambda config: config.name)
+    def test_suspended_frame_ops_journal_nothing(self, config):
+        phys = PhysMemory(config)
+        phys.fill_frame(1, 0x5A)
+        phys.write_word(config.frame_base(2), 9)
+
+        def body():
+            with conc.suspended():
+                assert conc.phys_journal() is None
+                phys.write_word(config.frame_base(3), 4)
+                phys.zero_frame(2)
+                phys.copy_frame(3, 1)
+
+        _monitor, scope = run_in_scope(phys, body)
+        assert scope.journal == {}
+        assert phys.frame_words(3) == phys.frame_words(1)
+        assert phys.nonzero_frames() == {1, 3}
 
 
 class TestTlb:

@@ -1,13 +1,16 @@
 """Observation function V(p, σ) and the noninterference lemmas."""
 
+import dataclasses
+
 import pytest
 
+from repro.engine import bug_matrix
 from repro.hyperenclave import buggy
-from repro.hyperenclave.constants import TINY
+from repro.hyperenclave.constants import TINY, TINY_ARM
 from repro.hyperenclave.monitor import HOST_ID, RustMonitor
 from repro.security import (
     DataOracle, Hypercall, LocalCompute, MemLoad, MemStore, SystemState,
-    apply_step, observe,
+    apply_step, attacks, observe,
 )
 from repro.security.noninterference import (
     TwoWorlds, check_lemma_activation, check_lemma_confidentiality,
@@ -81,6 +84,78 @@ class TestObservation:
         state, _, eid = make_state()
         state.monitor.hc_destroy(eid)
         assert observe(state, eid).metadata == ("destroyed",)
+
+
+def reference_host_pages(state):
+    """Host-visible memory the dense way: build every untrusted,
+    non-shared frame and keep those with a nonzero word."""
+    monitor = state.monitor
+    config = monitor.config
+    shared = {config.frame_of(pa)
+              for enclave in monitor.enclaves.values()
+              if enclave.mbuf is not None
+              for _va, pa in enclave.mbuf.pages(config)}
+    pages = []
+    for frame in monitor.layout.untrusted_frames:
+        if frame in shared:
+            continue
+        words = monitor.phys.frame_words(frame)
+        if any(words):
+            pages.append((("untrusted", frame), words))
+    return tuple(pages)
+
+
+def host_views_match(state):
+    view = observe(state, HOST_ID)
+    assert view == dataclasses.replace(
+        view, memory_pages=reference_host_pages(state))
+    return view
+
+
+def matrix_states(config):
+    """One state per 13-bug matrix row, from the world its setup
+    function makes; the NI rows also step through their conviction trace."""
+    for monitor_cls, _detector, arg in bug_matrix.MATRIX:
+        if arg in (bug_matrix.leak_trace, bug_matrix.scrub_trace):
+            monitor, app, eid = bug_matrix.build_world(
+                monitor_cls, pages=2, config=config)
+            state = SystemState(monitor, oracle=DataOracle.seeded(5))
+            yield state
+            for step in arg(app, eid, config):
+                apply_step(state, step[0] if isinstance(step, tuple)
+                           else step)
+                yield state
+        elif callable(arg):
+            yield SystemState(arg(monitor_cls, config=config))
+        else:
+            yield SystemState(bug_matrix.build_world(
+                monitor_cls, config=config)[0])
+
+
+def attack_states(config):
+    """The standard world under each attack generator in turn, with
+    nonzero marshalling-buffer contents the host view must drop."""
+    monitor, app, eid = bug_matrix.build_world(config=config)
+    state = SystemState(monitor)
+    monitor.primary_os.store(app, 12 * config.page_size, 0x1234)
+    yield state
+    for outcome in attacks.run_standard_attack_suite(monitor, app,
+                                                     eid).values():
+        assert outcome.leaked == []
+        yield state
+
+
+class TestHostObservationEquivalence:
+    """The host view builds only frames holding a nonzero word; it must
+    equal the dense reference on every world the checkers produce."""
+
+    @pytest.mark.parametrize("config", [TINY, TINY_ARM],
+                             ids=lambda config: config.name)
+    @pytest.mark.parametrize("source", [matrix_states, attack_states],
+                             ids=["bug-matrix", "attacks"])
+    def test_matches_dense_reference(self, config, source):
+        views = [host_views_match(state) for state in source(config)]
+        assert any(view.memory_pages for view in views)
 
 
 class TestLemma52Integrity:
