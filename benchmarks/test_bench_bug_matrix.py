@@ -10,19 +10,19 @@ by the bounded-preemption interleaving explorer.  The benchmark times
 the whole matrix: total detection cost for all thirteen.
 
 The matrix itself (setups, detectors, bug rows) lives in
-:mod:`repro.engine.bug_matrix`, where the parallel checking fabric
-runs the identical convictions through its sharded executor
+:mod:`repro.engine.bug_matrix`, where the checking fabric runs the
+convictions through its sharded executor
 (:func:`~repro.engine.bug_matrix.run_matrix_parallel`); this bench
-times the sequential sweep.
+times it in-process, at one worker.
 """
 
-from repro.engine.bug_matrix import run_matrix
+from repro.engine.bug_matrix import run_matrix_parallel
 from repro.hyperenclave import buggy
 from repro.reporting import render_table
 
 
 def test_bench_bug_matrix(benchmark, emit):
-    results = benchmark(run_matrix)
+    results = benchmark(run_matrix_parallel, workers=1)
     rows = [[bug, "DETECTED" if detected else "MISSED", how]
             for bug, detected, how in results]
     emit("bug_matrix",

@@ -1,11 +1,11 @@
 """The parallel checking fabric's perf trajectory.
 
-Times the sequential interleaving campaign (three full token-passing
-executions per schedule, no memoisation — the engine as it existed
-before ``repro.engine``) against the sharded fabric on the identical
-grid, asserts the merged report is **byte-identical**, and refreshes
+Times the interleaving campaign at one worker (in-process) against the
+same campaign on four workers, asserts the merged report is
+**byte-identical**, and refreshes the top-level record of
 ``BENCH_checking.json`` at the repo root — the committed record of the
-speedup, schedule/state throughput, and memo hit rates.
+parallel speedup, schedule/state throughput, and memo hit rates (the
+other sections of the file are kept).
 
 :func:`repro.engine.bench.bench_checking` does its own median-of-N
 wall-clock measurement (the thing under test is the harness itself),
@@ -13,10 +13,9 @@ so this bench does not wrap it in the ``benchmark`` fixture's
 repetition machinery.
 """
 
-import json
 import os
 
-from repro.engine.bench import bench_checking
+from repro.engine.bench import _merged_out, bench_checking
 from repro.reporting import render_table
 
 BENCH_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
@@ -26,13 +25,11 @@ BENCH_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
 def test_bench_checking_fabric(emit):
     record = bench_checking(preemption_bound=2, max_schedules=600,
                             workers=4, repeats=3)
-    with open(BENCH_PATH, "w", encoding="utf-8") as handle:
-        json.dump(record, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _merged_out(BENCH_PATH, None, record)
     rows = [
-        ["sequential", record["sequential"]["seconds"],
-         record["sequential"]["schedules_per_sec"],
-         record["sequential"]["states_per_sec"]],
+        ["1 worker", record["one_worker"]["seconds"],
+         record["one_worker"]["schedules_per_sec"],
+         record["one_worker"]["states_per_sec"]],
         ["parallel (4 workers)", record["parallel"]["seconds"],
          record["parallel"]["schedules_per_sec"],
          record["parallel"]["states_per_sec"]],
@@ -48,9 +45,6 @@ def test_bench_checking_fabric(emit):
     # divergence, but assert the recorded flag too
     assert record["byte_identical"] is True
     assert record["schedules"] == 178
-    # the committed record holds the ≥2x measurement; under a noisy,
-    # loaded runner the floor asserted here is the structural saving
-    # (2 fast executions/schedule vs 3 slow ones), which parallelism
-    # cannot fall below
-    assert record["speedup"] > 1.2
+    # the speedup is process parallelism alone, so it depends on the
+    # cores the runner has: recorded, not asserted
     assert record["memo"]["hit_rate"] > 0.8

@@ -14,13 +14,15 @@ Four sweeps make up the concurrency table:
 4. the crash-in-critical-section campaign — a vCPU killed at every
    yield point taken while holding locks, with rollback, lock release,
    and invariants verified each time (expected all-green).
+
+Every sweep runs through the checking fabric in-process (``workers=1``).
 """
 
 import time
 
-from repro.faults import (
-    crash_in_critical_section_campaign,
-    interleaving_campaign,
+from repro.engine import (
+    parallel_crash_in_critical_section_campaign,
+    parallel_interleaving_campaign,
 )
 from repro.hyperenclave.buggy import MissingLockMonitor, NoShootdownMonitor
 
@@ -32,12 +34,16 @@ def timed(fn, *args, **kwargs):
 
 
 def test_bench_interleaving_campaign(emit):
-    rust, rust_secs = timed(interleaving_campaign, check_ni=True)
+    rust, rust_secs = timed(parallel_interleaving_campaign,
+                            check_ni=True, workers=1)
     missing, missing_secs = timed(
-        interleaving_campaign, MissingLockMonitor, check_ni=False)
+        parallel_interleaving_campaign, MissingLockMonitor,
+        check_ni=False, workers=1)
     noshoot, noshoot_secs = timed(
-        interleaving_campaign, NoShootdownMonitor, check_ni=False)
-    crash, crash_secs = timed(crash_in_critical_section_campaign)
+        parallel_interleaving_campaign, NoShootdownMonitor,
+        check_ni=False, workers=1)
+    crash, crash_secs = timed(parallel_crash_in_critical_section_campaign,
+                              workers=1)
 
     def convicted(result):
         return ", ".join(f"{len(items)} {kind}"

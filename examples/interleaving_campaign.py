@@ -16,15 +16,18 @@ Walks the concurrency plane end to end:
    dying core's transaction rolls back, its locks release, the
    survivor finishes, invariants hold.
 
+The sweeps run through the checking fabric in-process (``workers=1``);
+any other worker count returns byte-identical results.
+
 Run:  python examples/interleaving_campaign.py
 """
 
 from repro.concurrency import Schedule, replay
-from repro.faults import (
-    crash_in_critical_section_campaign,
-    interleaving_campaign,
-    make_interleaved_run,
+from repro.engine import (
+    parallel_crash_in_critical_section_campaign,
+    parallel_interleaving_campaign,
 )
+from repro.faults import make_interleaved_run
 from repro.hyperenclave.buggy import MissingLockMonitor, NoShootdownMonitor
 
 
@@ -43,17 +46,19 @@ def main():
           f"{len(result.critical_yields())}\n")
 
     # ---- 2. the full sweep on the real monitor ------------------------
-    rust = interleaving_campaign(check_ni=True)
+    rust = parallel_interleaving_campaign(check_ni=True, workers=1)
     print(f"RustMonitor sweep (invariants + vCPU consistency + "
           f"noninterference per schedule):\n  {rust.summary()}\n")
     assert rust.ok
 
     # ---- 3. the sweep convicts the planted races ----------------------
-    missing = interleaving_campaign(MissingLockMonitor, check_ni=False)
+    missing = parallel_interleaving_campaign(MissingLockMonitor,
+                                             check_ni=False, workers=1)
     print(f"MissingLockMonitor: {missing.summary()}")
     assert "lock-protocol" in missing.by_kind()
 
-    noshoot = interleaving_campaign(NoShootdownMonitor, check_ni=False)
+    noshoot = parallel_interleaving_campaign(NoShootdownMonitor,
+                                             check_ni=False, workers=1)
     print(f"NoShootdownMonitor: {noshoot.summary()}")
     witness = noshoot.by_kind()["stale-translation"][0]
     print(f"  first witness: {witness}")
@@ -67,7 +72,7 @@ def main():
           f"{len(rerun.stale_translations)} stale translations again\n")
 
     # ---- 4. crash a vCPU inside every critical section ----------------
-    crash = crash_in_critical_section_campaign()
+    crash = parallel_crash_in_critical_section_campaign(workers=1)
     print(crash.render())
     assert crash.ok
     print("\nevery mid-critical-section crash rolled back, released "

@@ -24,7 +24,6 @@ noninterference check, and PR 1's fault plane live in
 from repro.concurrency.explorer import (
     ExplorationResult,
     Violation,
-    explore,
     explore_batched,
     replay,
     result_violations,
@@ -45,7 +44,6 @@ from repro.concurrency.arena import (
 )
 from repro.concurrency.scheduler import (
     BRANCH_KINDS,
-    ENV_ENGINE,
     SCHED_STATS,
     VCPU_CRASH_SITE,
     Decision,
@@ -63,7 +61,6 @@ from repro.concurrency.scheduler import (
     phys_journal,
     record_phys_write,
     release_locks,
-    resolve_engine,
     suspended,
     yield_point,
 )
@@ -71,7 +68,6 @@ from repro.concurrency.shootdown import detect_stale_translations, tlb_shootdown
 from repro.concurrency.snapshot import (
     SnapshotPlan,
     SnapshotTree,
-    extended_gate_enabled,
     locality_key,
     prefix_cache_enabled,
     process_tree,
@@ -80,7 +76,6 @@ from repro.concurrency.snapshot import (
 
 __all__ = [
     "BRANCH_KINDS",
-    "ENV_ENGINE",
     "SCHED_STATS",
     "VCPU_CRASH_SITE",
     "Decision",
@@ -104,9 +99,7 @@ __all__ = [
     "current_vid",
     "detect_stale_translations",
     "enclave_lock",
-    "explore",
     "explore_batched",
-    "extended_gate_enabled",
     "guard_mutation",
     "installed",
     "lock_rank",
@@ -121,7 +114,6 @@ __all__ = [
     "reset_process_tree",
     "release_locks",
     "replay",
-    "resolve_engine",
     "result_violations",
     "suspended",
     "tlb_shootdown",

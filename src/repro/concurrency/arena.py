@@ -8,10 +8,10 @@ stack that can block while the loop keeps scheduling.  A :class:`Fiber`
 is that stack: a parked daemon thread that executes one step at a time
 on request and can suspend itself cooperatively at a yield point.
 
-Unlike the legacy threaded engine, fibers are **pooled per process**
-(:class:`FiberArena`): a schedule that needs one borrows it, runs the
-step, and returns it, so the thread-creation/join cost that used to be
-paid twice per schedule is paid once per worker process.  Handoffs on
+Fibers are **pooled per process** (:class:`FiberArena`): a schedule
+that needs one borrows it, runs the step, and returns it, so no thread
+is created or joined per schedule; the cost is paid once per worker
+process.  Handoffs on
 the fiber path are counted in the ``sched.*`` metrics family.
 """
 
@@ -28,9 +28,8 @@ class Fiber:
 
     Strict token passing: at any instant either the caller is running
     (fiber blocked in :meth:`park` or idle between steps) or the fiber
-    is running (caller blocked in ``_wait``) — never both, which is what
-    lets the scheduler treat a fiber segment exactly like the legacy
-    engine treated a vCPU thread.
+    is running (caller blocked in ``_wait``) — never both, so the world
+    the scheduler inspects between segments is always frozen.
     """
 
     def __init__(self):

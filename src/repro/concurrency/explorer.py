@@ -35,7 +35,7 @@ unchanged.
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.concurrency.scheduler import BRANCH_KINDS, RunResult, Schedule
 from repro.obs import trace as _trace
@@ -117,61 +117,6 @@ def _note_schedule(schedule, new_violations):
                      schedule=violation.schedule.describe())
 
 
-def explore(run_schedule: Callable[[Schedule], RunResult], *,
-            seed: int = 0,
-            preemption_bound: int = 2,
-            max_schedules: int = 512,
-            crash: Optional[Tuple[int, int]] = None,
-            check=None) -> ExplorationResult:
-    """Bounded-preemption BFS over schedules.
-
-    ``run_schedule(schedule)`` must rebuild the world from scratch and
-    execute the schedule (deterministically — same schedule, same
-    result).  ``check(schedule, result)``, if given, yields extra
-    ``(kind, detail)`` findings per run (invariant sweeps,
-    noninterference) that become :class:`Violation` entries.
-    """
-    outcome = ExplorationResult(preemption_bound=preemption_bound,
-                                max_schedules=max_schedules)
-    frontier = deque([Schedule(seed=seed, crash=crash)])
-    seen_prefixes = set()
-    while frontier:
-        if len(outcome.runs) >= max_schedules:
-            outcome.truncated = True
-            break
-        schedule = frontier.popleft()
-        result = run_schedule(schedule)
-        outcome.runs.append((schedule, result))
-        known = len(outcome.violations)
-        outcome.violations.extend(result_violations(schedule, result))
-        if check is not None:
-            outcome.violations.extend(
-                Violation(schedule, kind, detail)
-                for kind, detail in check(schedule, result))
-        _note_schedule(schedule, outcome.violations[known:])
-        if len(schedule.preemptions) >= preemption_bound:
-            continue
-        last = schedule.preemptions[-1][0] if schedule.preemptions else -1
-        for decision in result.decisions:
-            if decision.index <= last:
-                continue
-            if decision.chosen_kind not in BRANCH_KINDS:
-                continue
-            for vid in decision.enabled:
-                if vid == decision.chosen:
-                    continue
-                prefix = result.trace[:decision.index] + (vid,)
-                if prefix in seen_prefixes:
-                    continue
-                seen_prefixes.add(prefix)
-                frontier.append(Schedule(
-                    seed=seed,
-                    preemptions=schedule.preemptions
-                    + ((decision.index, vid),),
-                    crash=schedule.crash))
-    return outcome
-
-
 @dataclass
 class FrontierState:
     """The picklable bookkeeping of a bounded-preemption BFS in flight.
@@ -180,10 +125,10 @@ class FrontierState:
     violations, the FIFO frontier, and the child-dedup prefix set — so
     a durable orchestrator can checkpoint the exploration between waves
     and resume it in another process: :meth:`take_wave` pops the next
-    wavefront, :meth:`absorb` replays the exact append/dedup/branch
-    bookkeeping of :func:`explore_batched` (which is itself built on
-    this class, so resumed-equals-uninterrupted is structural, not
-    re-implemented).
+    wavefront, :meth:`absorb` does the append/dedup/branch bookkeeping.
+    This class is the one copy of that bookkeeping: :func:`explore_batched`,
+    the durable orchestrator and the service all drive it, so
+    resumed-equals-uninterrupted is structural, not re-implemented.
     """
 
     preemption_bound: int
@@ -214,8 +159,7 @@ class FrontierState:
         """Pop the next wavefront (empty when the exploration is done).
 
         Marks the exploration truncated — without popping — when the
-        run cap is already met, exactly where the sequential loop's
-        truncation check sits.
+        run cap is already met.
 
         ``limit`` caps how many schedules are popped: the multi-campaign
         scheduler runs a frontier in fair-share chunks, and because the
@@ -294,21 +238,23 @@ def explore_batched(run_batch, *,
                     max_schedules: int = 512,
                     crash: Optional[Tuple[int, int]] = None
                     ) -> ExplorationResult:
-    """:func:`explore`, one BFS wavefront at a time — byte-identical.
+    """Bounded-preemption BFS over schedules, one wavefront at a time.
 
     ``run_batch(schedules)`` executes a list of schedules (in any order,
     e.g. fanned out across worker processes) and returns, *aligned with
-    its input*, ``(result, findings)`` pairs where ``findings`` are the
-    extra ``(kind, detail)`` items a ``check`` hook would have produced.
+    its input*, ``(result, findings)`` pairs where ``findings`` are
+    extra ``(kind, detail)`` items (invariant sweeps, noninterference)
+    that become :class:`Violation` entries.  Each run must be a pure
+    function of its schedule, rebuilt from scratch or restored from a
+    snapshot of an identical prefix.
 
-    Identity with the sequential explorer holds by construction: a
-    schedule's children always enqueue *behind* every schedule already
-    in the FIFO frontier, so the sequential loop pops the entire current
-    frontier before reaching any child generated along the way — which
-    is exactly a wavefront.  Runs execute out of order in workers, but
-    run results are pure functions of their schedules, and the
-    :class:`FrontierState` append/dedup/branch bookkeeping replays in
-    frontier order.
+    Wavefronts lose nothing against a one-at-a-time BFS: a schedule's
+    children always enqueue *behind* every schedule already in the FIFO
+    frontier, so the whole current frontier runs before any child
+    generated along the way.  Runs may execute out of order in workers,
+    but the :class:`FrontierState` append/dedup/branch bookkeeping
+    replays in frontier order, so worker count and completion order
+    cannot leak into the result.
     """
     state = FrontierState.start(seed=seed,
                                 preemption_bound=preemption_bound,

@@ -1,5 +1,4 @@
-"""Deterministic cooperative multi-vCPU scheduler — two engines, one
-record format.
+"""Deterministic cooperative multi-vCPU scheduler.
 
 Instrumented code inside the monitor calls :func:`yield_point` at every
 lock acquire, lock release (hypercall return), physical-memory write,
@@ -11,21 +10,16 @@ seed, a tuple of preemptions, and an optional vCPU crash — which is
 what makes every explored interleaving replayable from a single small
 value.
 
-Two interchangeable engines execute a schedule
-(``REPRO_SCHED_ENGINE``, or the ``engine=`` argument):
-
-* ``continuation`` (default) — every vCPU is driven as a generator
-  continuation by one plain-Python loop on the calling thread.  A step
-  whose scheduling is already settled — no forced preemption pending,
-  no lock held anywhere — is a plain function call (its yields resolve
-  inline, see ``_ContinuationEngine``); a step that might genuinely
-  context-switch mid-stack borrows a pooled fiber from
-  :mod:`repro.concurrency.arena`.  No thread is created or joined per
-  run, and the common case does zero ``Event`` handoffs.
-* ``threads`` — the legacy engine and parity reference: one OS thread
-  per vCPU, strict token passing through per-task events (the CHESS
-  execution model).  CI gates the two engines byte-identical on the
-  full buggy-monitor matrix.
+Every vCPU is driven as a generator continuation by one plain-Python
+loop on the calling thread.  A step whose scheduling is already
+settled — no forced preemption pending, no lock held anywhere — is a
+plain function call (its yields resolve inline, see
+``_ContinuationEngine``); a step that might genuinely context-switch
+mid-stack borrows a pooled fiber from :mod:`repro.concurrency.arena`.
+No thread is created or joined per run, and the common case does zero
+``Event`` handoffs.  The verdicts this produces are pinned by the
+committed golden digests (``tests/golden_verdicts.json``), not by a
+second engine.
 
 The module doubles as the instrumentation plane (mirroring
 ``repro.faults.plane``): all hooks are module-level functions that
@@ -34,7 +28,6 @@ of its vCPU tasks.  Monitor code can therefore call them
 unconditionally; sequential callers pay nothing.
 """
 
-import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -42,7 +35,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.concurrency.arena import process_arena
 from repro.concurrency.locks import LockManager
-from repro.errors import ConfigError, FaultInjected
+from repro.errors import FaultInjected
 from repro.obs.metrics import REGISTRY
 
 #: Yield kinds at which the interleaving explorer considers preempting.
@@ -55,31 +48,12 @@ BRANCH_KINDS = frozenset(
 #: Synthetic fault site used when a schedule crashes a vCPU.
 VCPU_CRASH_SITE = "vcpu.crash"
 
-#: Engine selection knob (``continuation`` is the default).
-ENV_ENGINE = "REPRO_SCHED_ENGINE"
-
-#: Scheduler-engine telemetry, surfaced through ``/metrics`` next to
-#: the ``snapshot_cache.*`` family.  ``handoffs`` counts cross-thread
-#: wakeup pairs (Event round trips on either engine); the continuation
-#: engine's inline path does none.
+#: Scheduler telemetry, surfaced through ``/metrics`` next to the
+#: ``snapshot_cache.*`` family.  ``handoffs`` counts cross-thread
+#: wakeup pairs (fiber Event round trips); the inline path does none.
 SCHED_STATS = REGISTRY.counter_group(
     "sched", ("handoffs", "inline_decisions", "arena_reuses",
-              "fiber_steps", "runs_continuation", "runs_threads"))
-
-
-def resolve_engine(explicit: Optional[str] = None) -> str:
-    """Resolve the engine name: explicit value, else ``REPRO_SCHED_ENGINE``
-    (unset or empty means ``continuation``)."""
-    raw = explicit if explicit is not None else os.environ.get(ENV_ENGINE)
-    if raw is None or not raw.strip():
-        return "continuation"
-    name = raw.strip().lower()
-    if name in ("threads", "thread", "threaded"):
-        return "threads"
-    if name in ("continuation", "continuations"):
-        return "continuation"
-    raise ConfigError(ENV_ENGINE, raw,
-                      "expected 'continuation' or 'threads'")
+              "fiber_steps", "runs"))
 
 
 class _VCpuParked(BaseException):
@@ -147,13 +121,14 @@ class YieldPoint:
 class Task:
     """One vCPU's workload and its cooperative-scheduling state.
 
-    Pure scheduling state: how the task *executes* (an OS thread, a
-    generator continuation, a pooled fiber) is the installed engine's
-    private business and deliberately not represented here.
+    Pure scheduling state: how the task *executes* (inline, or on a
+    pooled fiber) is the engine's private business and deliberately not
+    represented here.  ``fn`` is None for a step-drivable workload,
+    whose steps the engine runs through the workload object itself.
     """
 
     vid: int
-    fn: Callable[[], None]
+    fn: Optional[Callable[[], None]]
     pending_kind: str = "task.start"
     pending_detail: Optional[str] = None
     yield_index: int = 0
@@ -208,28 +183,25 @@ class DeterministicScheduler:
     ``workloads`` is either a list of callables (``workloads[i]``
     becomes vCPU ``i``'s task) or a step-drivable workload object
     exposing ``scripts``/``positions``/``run_step``/``advance``/
-    ``steps_remaining``/``tasks`` (see
+    ``steps_remaining`` (see
     :class:`~repro.faults.campaign.ScriptWorkloads`) — the latter lets
-    the continuation engine drive scripts step by step and the snapshot
-    tree park/restore tasks between steps.  ``probe``, if given, is
+    the engine drive scripts step by step and the snapshot tree
+    park/restore tasks between steps.  ``probe``, if given, is
     called with the monitor after every decision — outside any task, so
     it must not hit any yield points — and returns an iterable of
     findings (the stale-translation detector).
     """
 
     def __init__(self, monitor, workloads, schedule=None, *,
-                 lock_manager=None, probe=None, timeout=60.0,
-                 fast_handoff=False, engine=None):
+                 lock_manager=None, probe=None, timeout=60.0):
         self.monitor = monitor
         self.schedule = schedule if schedule is not None else Schedule()
         self.locks = lock_manager if lock_manager is not None else LockManager()
         self.probe = probe
         self.timeout = timeout
-        self.fast_handoff = fast_handoff
-        self.engine_name = resolve_engine(engine)
         if hasattr(workloads, "run_step"):
             self.script_workloads = workloads
-            fns = workloads.tasks()
+            fns = [None] * len(workloads.scripts)
         else:
             self.script_workloads = None
             fns = list(workloads)
@@ -244,10 +216,9 @@ class DeterministicScheduler:
         # Optional snapshot-tree capture hook (repro.concurrency
         # .snapshot.SnapshotPlan).  Offered the frozen world right
         # before each scheduling decision; None costs one ``is None``
-        # test per decision and keeps this the exact legacy path.
+        # test per decision and keeps this the exact uncached path.
         self.snapshots = None
-        self._engine = (_ThreadsEngine(self) if self.engine_name == "threads"
-                        else _ContinuationEngine(self))
+        self._engine = _ContinuationEngine(self)
 
     # -- the run ----------------------------------------------------------------
 
@@ -257,10 +228,7 @@ class DeterministicScheduler:
             raise RuntimeError("a DeterministicScheduler is single-use; "
                                "build a fresh one to replay")
         self._ran = True
-        SCHED_STATS["runs_" + self.engine_name] += 1
-        # label-style gauge: lets /metrics readers see which engine the
-        # process last ran without diffing the runs_* counters
-        REGISTRY.set_gauge("sched.engine", self.engine_name)
+        SCHED_STATS["runs"] += 1
         with installed(self):
             self._engine.run()
         return self.result()
@@ -296,7 +264,7 @@ class DeterministicScheduler:
                     return task
         return min(enabled, key=lambda t: t.vid)
 
-    # -- decision machinery (shared by both engines) ----------------------------
+    # -- decision machinery -----------------------------------------------------
 
     def _loop_decide(self) -> Optional[Task]:
         """One scheduling decision made from the loop; returns the
@@ -391,106 +359,8 @@ class DeterministicScheduler:
             self.stale.extend(self.probe(self.monitor) or ())
 
 
-class _ThreadsEngine:
-    """The legacy execution engine: one OS thread per vCPU task, strict
-    token passing through per-task events.  Kept as the parity
-    reference (``REPRO_SCHED_ENGINE=threads``); its thread/event/ident
-    plumbing is private to this class, not part of :class:`Task`.
-    """
-
-    def __init__(self, sched):
-        self.sched = sched
-        self._by_ident: Dict[int, Task] = {}
-        self._events: Dict[int, threading.Event] = {
-            task.vid: threading.Event() for task in sched.tasks}
-        self._threads: Dict[int, threading.Thread] = {}
-        self._control = threading.Event()
-
-    def run(self):
-        """Spawn one OS thread per live task and referee the handoffs."""
-        sched = self.sched
-        for task in sched.tasks:
-            if task.done:
-                # pre-completed by a snapshot restore: its whole
-                # script ran inside the cached prefix
-                continue
-            thread = threading.Thread(
-                target=self._runner, args=(task,),
-                name=f"vcpu-{task.vid}", daemon=True)
-            self._threads[task.vid] = thread
-            thread.start()
-        while True:
-            chosen = sched._loop_decide()
-            if chosen is None:
-                break
-            self._control.clear()
-            self._events[chosen.vid].set()
-            SCHED_STATS["handoffs"] += 1
-            if not self._control.wait(sched.timeout):
-                raise RuntimeError(
-                    f"vcpu{chosen.vid} did not yield within "
-                    f"{sched.timeout}s")
-            sched._probe_now()
-        for thread in self._threads.values():
-            thread.join(sched.timeout)
-
-    # -- hook dispatch ----------------------------------------------------------
-
-    def hook_task(self) -> Optional[Task]:
-        return self._by_ident.get(threading.get_ident())
-
-    def task_yield(self, task, kind, detail):
-        """Park ``task`` at a yield point until the referee resumes it."""
-        sched = self.sched
-        if sched._record_yield(task, kind, detail):
-            return
-        if sched.fast_handoff and sched._decide_inline(task):
-            return
-        self._control.set()
-        event = self._events[task.vid]
-        SCHED_STATS["handoffs"] += 1
-        if not event.wait(sched.timeout):
-            raise RuntimeError(f"vcpu{task.vid} was never rescheduled")
-        event.clear()
-
-    def release_locks(self, task, where):
-        """Drop every lock ``task`` holds and emit the hc.return yield."""
-        sched = self.sched
-        released = sched.locks.release_all(task.vid)
-        try:
-            if not _suspended():
-                self.task_yield(task, "hc.return", where)
-        finally:
-            sched.locks.check_none_held(task.vid, f"return from {where}")
-        return released
-
-    # -- task side --------------------------------------------------------------
-
-    def _runner(self, task):
-        self._by_ident[threading.get_ident()] = task
-        event = self._events[task.vid]
-        event.wait()
-        event.clear()
-        try:
-            task.fn()
-        except _VCpuParked:
-            task.parked = True
-        except FaultInjected as exc:
-            if exc.site == VCPU_CRASH_SITE:
-                # crash delivered outside any hypercall: the vCPU just
-                # stops, with nothing to roll back
-                task.parked = True
-            else:
-                task.exc = exc
-        except BaseException as exc:          # noqa: BLE001 - report, don't die
-            task.exc = exc
-        finally:
-            task.done = True
-            self._control.set()
-
-
 class _ContinuationEngine:
-    """Generator-continuation engine: the default.
+    """The generator-continuation execution engine.
 
     Every not-done task gets a *driver generator* (:meth:`_drive`) and
     the loop simply ``next()``s the chosen task's driver at each
@@ -508,8 +378,8 @@ class _ContinuationEngine:
     plain function call — its yields resolve through
     ``_decide_inline`` with zero control transfers.  A step that cannot
     be proven settled runs on a pooled fiber
-    (:mod:`repro.concurrency.arena`), which can suspend mid-stack with
-    exactly the legacy engine's semantics.
+    (:mod:`repro.concurrency.arena`), which can suspend mid-stack and
+    hand control back to the loop.
 
     For step-drivable workloads the ``hc.return`` yield is *hoisted* to
     the driver: :meth:`release_locks` releases the locks and defers the
@@ -598,8 +468,7 @@ class _ContinuationEngine:
     # -- drivers ----------------------------------------------------------------
 
     def _drive(self, task):
-        """The driver generator: one per task, same terminal semantics
-        as the threaded engine's ``_runner``."""
+        """The driver generator: one per task."""
         try:
             if self.sched.script_workloads is not None:
                 yield from self._script_body(task)
@@ -633,8 +502,8 @@ class _ContinuationEngine:
             finally:
                 # Emit a deferred hc.return even while an exception
                 # unwinds the step (a crashed vCPU's _VCpuParked): the
-                # legacy engine records that yield from inside the
-                # hypercall wrapper's finally, so parity demands it.
+                # un-hoisted yield sits in the hypercall wrapper's
+                # finally, so the record must carry it either way.
                 where = self._deferred.pop(vid, None)
                 if where is not None:
                     try:

@@ -17,9 +17,8 @@ Correctness rests on three properties:
   alone.  That is always true at a ``step`` or ``task.start`` park (no
   lock held or waited on, no transaction in flight): the ``step`` yield
   sits at the very top of ``apply_step``, before any mutation, so the
-  parked task's continuation is "run the rest of my script".  With the
-  extended gate (``REPRO_SNAPSHOT_GATE``, on by default) two more park
-  kinds qualify — a ``hc.return`` park (the hypercall fully committed
+  parked task's continuation is "run the rest of my script".  Two more
+  park kinds qualify — a ``hc.return`` park (the hypercall fully committed
   and its locks released; the continuation engine hoists this yield to
   an empty stack, and a restored task simply starts the *next* step)
   and a ``lock.acquire`` park on the task's *first* lock (nothing
@@ -50,31 +49,30 @@ default 256).  The tree is **process-local by design**: pool workers
 fork with an empty tree and warm it across waves; a durable campaign
 resumed after ``kill -9`` starts new workers whose trees are rebuilt
 from live execution, so pre-crash snapshots are structurally impossible
-to reuse.  The cache is opt-in per unit (``REPRO_PREFIX_CACHE``; on by
-default for parallel/durable/service campaigns, off for sequential
-campaigns and single-schedule ``replay``), and the cache-off path is
-the untouched legacy code path.
+to reuse.  The cache is chosen per unit (``REPRO_PREFIX_CACHE``; on by
+default for interleaving campaigns at any worker count, off for
+single-schedule ``replay``), and the cache-off path executes every
+schedule from a fresh world clone.
 """
 
+import math
 import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.concurrency import scheduler as conc
+from repro.errors import ConfigError
 from repro.obs.metrics import REGISTRY
 
 #: Yield kinds at which a vCPU's continuation is just "finish the
-#: current script step, then the rest of the script".
+#: current script step, then the rest of the script".  ``hc.return``
+#: and first-lock ``lock.acquire`` parks are also capturable, under the
+#: conditions :meth:`SnapshotPlan._capturable` checks.
 SAFE_PARK_KINDS = frozenset({"task.start", "step"})
-
-#: Additional park kinds accepted by the extended capture gate (see
-#: module docstring for why these are sound and others are not).
-EXTENDED_PARK_KINDS = frozenset({"hc.return", "lock.acquire"})
 
 ENV_FLAG = "REPRO_PREFIX_CACHE"
 ENV_BUDGET = "REPRO_SNAPSHOT_BUDGET_MB"
-ENV_GATE = "REPRO_SNAPSHOT_GATE"
 DEFAULT_BUDGET_MB = 256.0
 
 #: Recorded parent traces kept for prefix prediction (tiny tuples; a
@@ -93,30 +91,28 @@ def prefix_cache_enabled(explicit: Optional[bool] = None) -> bool:
     return env.strip().lower() not in ("0", "false", "no", "off")
 
 
-def extended_gate_enabled(explicit: Optional[bool] = None) -> bool:
-    """Resolve the capture-gate flag: explicit value, else
-    ``REPRO_SNAPSHOT_GATE`` (default extended; ``legacy``/``0``/``off``
-    restricts captures to :data:`SAFE_PARK_KINDS` parks only)."""
-    if explicit is not None:
-        return bool(explicit)
-    env = os.environ.get(ENV_GATE)
-    if env is None or not env.strip():
-        return True
-    return env.strip().lower() not in ("0", "false", "no", "off", "legacy")
-
-
 def snapshot_budget_bytes() -> int:
-    """The LRU byte budget from ``REPRO_SNAPSHOT_BUDGET_MB``."""
+    """The LRU byte budget from ``REPRO_SNAPSHOT_BUDGET_MB``.
+
+    Unset or empty means :data:`DEFAULT_BUDGET_MB`; ``0`` disables
+    capture.  Anything but a finite, non-negative number of megabytes
+    raises :class:`~repro.errors.ConfigError` naming the variable, so a
+    typo surfaces as a typed, picklable error that says what to fix,
+    not as a bare ``ValueError``/``OverflowError`` from ``int()``.
+    """
     env = os.environ.get(ENV_BUDGET)
     if env is None or not env.strip():
-        mb = DEFAULT_BUDGET_MB
-    else:
-        try:
-            mb = float(env)
-        except ValueError:
-            raise ValueError(
-                f"{ENV_BUDGET}={env!r} is not a number of megabytes")
-    return max(0, int(mb * 1024 * 1024))
+        return int(DEFAULT_BUDGET_MB * 1024 * 1024)
+    try:
+        mb = float(env)
+    except ValueError:
+        raise ConfigError(ENV_BUDGET, env,
+                          "not a number of megabytes") from None
+    if not math.isfinite(mb) or mb < 0:
+        raise ConfigError(ENV_BUDGET, env,
+                          "expected a finite, non-negative number of "
+                          "megabytes (0 disables the snapshot tree)")
+    return int(mb * 1024 * 1024)
 
 
 def locality_key(schedule) -> str:
@@ -314,25 +310,22 @@ class SnapshotPlan:
 
     Installed as ``DeterministicScheduler.snapshots``; offered the
     frozen world right before every scheduling decision (both the
-    token-passing and the inline-handoff paths).  Captures only at
-    decisions a child schedule could branch from — at least two live
-    vCPUs, every live vCPU at a snapshot-safe park — and dedups by
-    node key *before* cloning, so re-executed shared prefixes cost a
-    dict probe, not a clone.
+    loop's decisions and the ones a running vCPU makes inline).
+    Captures only at decisions a child schedule could branch from — at
+    least two live vCPUs, every live vCPU at a snapshot-safe park — and
+    dedups by node key *before* cloning, so re-executed shared prefixes
+    cost a dict probe, not a clone.
     """
 
-    __slots__ = ("tree", "world_key", "state", "workloads", "_prev",
-                 "extended")
+    __slots__ = ("tree", "world_key", "state", "workloads", "_prev")
 
     def __init__(self, tree, world_key, state, workloads, schedule,
-                 resumed_from: Optional[SnapshotNode] = None,
-                 extended: Optional[bool] = None):
+                 resumed_from: Optional[SnapshotNode] = None):
         self.tree = tree
         self.world_key = world_key
         self.state = state
         self.workloads = workloads
         self._prev = resumed_from
-        self.extended = extended_gate_enabled(extended)
 
     def offer(self, sched):
         """Capture the scheduler's state at the current decision point
@@ -378,8 +371,6 @@ class SnapshotPlan:
         if (kind in SAFE_PARK_KINDS and task.waiting_lock is None
                 and task.txn_scope is None):
             return True
-        if not self.extended:
-            return False
         if kind == "hc.return":
             # locks released, transaction scope closed, step committed:
             # the continuation is "start the next step"
@@ -501,9 +492,8 @@ def reset_process_tree(tree: Optional[SnapshotTree] = None):
 
 
 __all__ = [
-    "SAFE_PARK_KINDS", "EXTENDED_PARK_KINDS", "ENV_FLAG", "ENV_BUDGET",
-    "ENV_GATE", "TaskMeta", "SnapshotNode", "SnapshotTree",
-    "SnapshotPlan", "extended_gate_enabled", "prefix_cache_enabled",
+    "SAFE_PARK_KINDS", "ENV_FLAG", "ENV_BUDGET", "TaskMeta",
+    "SnapshotNode", "SnapshotTree", "SnapshotPlan", "prefix_cache_enabled",
     "snapshot_budget_bytes", "locality_key", "process_tree",
     "reset_process_tree",
 ]

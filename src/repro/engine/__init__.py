@@ -18,13 +18,15 @@ merged deterministically.  This package provides:
   sweeps, the vCPU consistency check, and noninterference observation
   diffs, with per-structure dirty tracking: only families whose
   structures changed since an already-certified state are re-checked.
-* :mod:`repro.engine.campaigns` — parallel counterparts of every
-  sequential campaign, each byte-identical to its sequential twin.
+* :mod:`repro.engine.campaigns` — every campaign over the executor,
+  byte-identical at every worker count (``workers=1`` runs in-process;
+  the interleaving campaign and the bug matrix exist only here, their
+  verdicts pinned by the committed golden digests).
 * :mod:`repro.engine.bug_matrix` — the 13-planted-bug conviction
   matrix, runnable through the parallel fabric.
 * :mod:`repro.engine.bench` — the perf harness emitting
   ``BENCH_checking.json`` (schedules/sec, states/sec, cache hit rates,
-  speedup vs sequential).
+  speedup of ``workers`` over one worker).
 """
 
 from repro.engine.executor import ShardedExecutor, resolve_workers
@@ -44,7 +46,7 @@ from repro.engine.campaigns import (
     parallel_pure_check_grid,
     sequential_pure_check_grid,
 )
-from repro.engine.bug_matrix import run_matrix, run_matrix_parallel
+from repro.engine.bug_matrix import run_matrix_parallel
 
 
 def __getattr__(name):
@@ -71,7 +73,6 @@ __all__ = [
     "parallel_interleaving_campaign",
     "parallel_pure_check_grid",
     "sequential_pure_check_grid",
-    "run_matrix",
     "run_matrix_parallel",
     "bench_checking",
 ]

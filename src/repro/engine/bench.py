@@ -1,20 +1,20 @@
 """Perf trajectory for the checking engines.
 
-Two entry points, one rule: **a perf number for a divergent checker is
-meaningless**, so every benchmark here compares its fast configuration
-against the naive baseline and raises if the verdicts are not
-byte-identical.
+One rule: **a perf number for a divergent checker is meaningless**, so
+every benchmark here compares its configurations against a baseline
+and raises if the verdicts are not byte-identical.
 
-:func:`bench_checking` times the sequential interleaving campaign (the
-pre-fabric baseline, untouched by that subsystem) against
-:func:`~repro.engine.campaigns.parallel_interleaving_campaign` on the
+:func:`bench_checking` times
+:func:`~repro.engine.campaigns.parallel_interleaving_campaign` at one
+worker (in-process) against the same campaign at ``workers`` on the
 same grid and returns the record that lands in ``BENCH_checking.json``:
 
 * ``schedules_per_sec`` / ``states_per_sec`` (states = scheduler
   decisions, the unit of interleaving exploration) for both sides;
-* ``speedup`` — median-of-``repeats`` wall-clock ratio (medians, not
-  means: on a shared box one descheduled round would otherwise skew
-  the trajectory);
+* ``speedup`` — the median-of-``repeats`` wall-clock ratio of one
+  worker to ``workers``, i.e. what process parallelism buys (medians,
+  not means: on a shared box one descheduled round would otherwise
+  skew the trajectory);
 * the worker-side memoisation counters and their aggregate hit rate.
 
 :func:`bench_symbolic` times the symbolic fast path (hash-consed terms,
@@ -72,19 +72,11 @@ from repro.engine.executor import resolve_workers
 
 
 def _engine_config() -> dict:
-    """The scheduler-engine knobs that shape every timing: which
-    engine runs vCPUs, whether the extended snapshot-capture gate is
-    on, and whether fiber stacks are pooled.  Folded into every bench
-    ``config`` block so :func:`_merged_out` refuses to silently
-    overwrite a section measured under a different engine setup."""
-    from repro.concurrency.scheduler import resolve_engine
-    from repro.concurrency.snapshot import extended_gate_enabled
-    return {
-        "sched_engine": resolve_engine(),
-        "snapshot_gate": ("extended" if extended_gate_enabled()
-                          else "legacy"),
-        "fiber_arena": True,
-    }
+    """The execution knobs that shape every timing (fiber stacks are
+    pooled per process).  Folded into every bench ``config`` block so
+    :func:`_merged_out` refuses to silently overwrite a section
+    measured under a different setup."""
+    return {"fiber_arena": True}
 
 
 def _arch_name(config):
@@ -112,66 +104,90 @@ def _memo_summary(stats):
     }
 
 
+def _cold_campaign(grid, workers, stats_out=None):
+    """One interleaving campaign from a cold start: fresh worker memo,
+    empty snapshot tree, fresh pool (so forked workers inherit no warm
+    state either).  Returns ``(result, seconds, metrics delta)``.  The
+    caller restores ``repro.engine.workers.MEMO`` afterwards."""
+    import gc
+
+    from repro.concurrency.snapshot import reset_process_tree
+    from repro.engine import workers as worker_module
+    from repro.engine.executor import ShardedExecutor
+    from repro.engine.memo import CheckMemo
+    from repro.obs.metrics import REGISTRY
+
+    worker_module.MEMO = CheckMemo()
+    reset_process_tree()
+    gc.collect()
+    with ShardedExecutor(workers) as pool:
+        before = REGISTRY.snapshot()
+        t0 = time.perf_counter()
+        result = parallel_interleaving_campaign(**grid, executor=pool,
+                                                stats_out=stats_out)
+        seconds = time.perf_counter() - t0
+        return result, seconds, REGISTRY.delta(before)
+
+
 def bench_checking(*, preemption_bound=2, max_schedules=600, seed=0,
                    workers=None, repeats=3, trace_overhead=True,
                    config=None) -> dict:
-    """Time sequential vs parallel interleaving checking on one grid.
+    """Time the interleaving campaign at one worker vs ``workers``.
 
-    Raises ``RuntimeError`` if any parallel round's merged report is
-    not byte-identical to the sequential baseline — a perf number for
-    a divergent checker would be meaningless.
+    Both sides are the same fabric code path, each round from a cold
+    start (:func:`_cold_campaign`), so ``speedup`` measures process
+    parallelism alone.  Raises ``RuntimeError`` if any multi-worker
+    round's merged report is not byte-identical to the one-worker run
+    — a perf number for a divergent checker would be meaningless.
 
-    With ``trace_overhead`` the sequential campaign additionally runs
+    With ``trace_overhead`` the one-worker campaign additionally runs
     with a tracer installed (ring only, no sink) and the record gains a
     ``tracing`` section: traced seconds, the overhead fraction, the
     record count, and the verdict-identity flag (tracing is
     observation-only, so the traced report must repr-match the
-    untraced baseline — enforced here).  Overhead compares the
-    *fastest* round of each configuration: on a shared box scheduling
-    noise swamps the per-record cost, and the minimum is the least
+    untraced one — enforced here).  Overhead compares the *fastest*
+    round of each configuration: on a shared box scheduling noise
+    swamps the per-record cost, and the minimum is the least
     contaminated estimate of intrinsic cost on both sides.
     """
-    from repro.engine.executor import ShardedExecutor
-    from repro.faults.campaign import interleaving_campaign
+    from repro.concurrency.snapshot import reset_process_tree
+    from repro.engine import workers as worker_module
     from repro.obs import trace as _trace
 
     workers = resolve_workers(workers)
     grid = dict(preemption_bound=preemption_bound,
                 max_schedules=max_schedules, seed=seed, config=config)
-    seq_times, par_times, traced_times = [], [], []
+    one_times, par_times, traced_times = [], [], []
     baseline = None
     trace_records = 0
     stats = {}
-    # One pool for every round: the median then measures the fabric's
-    # steady state, not per-round process forking (which a long
-    # campaign amortises anyway).
-    with ShardedExecutor(workers) as pool:
+    original_memo = worker_module.MEMO
+    try:
         for _ in range(repeats):
-            t0 = time.perf_counter()
-            seq = interleaving_campaign(**grid)
-            seq_times.append(time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            par = parallel_interleaving_campaign(
-                **grid, executor=pool, stats_out=stats)
-            par_times.append(time.perf_counter() - t0)
-            if repr(par) != repr(seq):
+            one, seconds, _delta = _cold_campaign(grid, 1)
+            one_times.append(seconds)
+            par, seconds, _delta = _cold_campaign(grid, workers, stats)
+            par_times.append(seconds)
+            if repr(par) != repr(one):
                 raise RuntimeError(
-                    "parallel interleaving report diverged from the "
-                    "sequential baseline")
-            baseline = seq
+                    f"{workers}-worker interleaving report diverged "
+                    f"from the one-worker run")
+            baseline = one
             if trace_overhead:
                 with _trace.installed(_trace.Tracer()) as tracer:
-                    t0 = time.perf_counter()
-                    traced = interleaving_campaign(**grid)
-                    traced_times.append(time.perf_counter() - t0)
+                    traced, seconds, _delta = _cold_campaign(grid, 1)
+                    traced_times.append(seconds)
                 trace_records = len(tracer.records)
-                if repr(traced) != repr(seq):
+                if repr(traced) != repr(one):
                     raise RuntimeError(
                         "tracing changed the interleaving report — "
                         "observation-only instrumentation is broken")
+    finally:
+        worker_module.MEMO = original_memo
+        reset_process_tree()
     schedules = len(baseline.runs)
     states = sum(len(result.decisions) for _, result in baseline.runs)
-    seq_s = statistics.median(seq_times)
+    one_s = statistics.median(one_times)
     par_s = statistics.median(par_times)
     record = {
         "benchmark": "parallel-checking-fabric",
@@ -183,9 +199,9 @@ def bench_checking(*, preemption_bound=2, max_schedules=600, seed=0,
                    **_engine_config()},
         "schedules": schedules,
         "states": states,
-        "sequential": _rates(seq_s, schedules, states),
+        "one_worker": _rates(one_s, schedules, states),
         "parallel": _rates(par_s, schedules, states),
-        "speedup": round(seq_s / par_s, 2),
+        "speedup": round(one_s / par_s, 2),
         "byte_identical": True,
         "memo": _memo_summary(stats),
     }
@@ -193,7 +209,7 @@ def bench_checking(*, preemption_bound=2, max_schedules=600, seed=0,
         traced_s = min(traced_times)
         record["tracing"] = {
             "seconds": round(traced_s, 4),
-            "overhead": round(traced_s / min(seq_times) - 1.0, 4),
+            "overhead": round(traced_s / min(one_times) - 1.0, 4),
             "records": trace_records,
             "verdict_identical": True,
         }
@@ -565,9 +581,9 @@ def bench_prefix_cache(*, bounds=(2, 3), max_schedules=600, seed=0,
     """Price the snapshot-tree execution cache against the plain fabric.
 
     For each preemption bound the same interleaving campaign runs with
-    the prefix cache off (the exact legacy fabric code path) and on
-    (schedules restore their deepest cached ancestor and execute only
-    the suffix), gated on repr-identity — a cache that changed a single
+    the prefix cache off (every schedule from a fresh world clone) and
+    on (schedules restore their deepest cached ancestor and execute
+    only the suffix), gated on repr-identity — a cache that changed a single
     verdict, decision, or trace byte would disqualify itself.  The
     record carries the median speedup per bound plus the
     ``snapshot_cache`` counters that explain it: hit rate, suffix steps
@@ -579,30 +595,16 @@ def bench_prefix_cache(*, bounds=(2, 3), max_schedules=600, seed=0,
     prefix sharing, not warm-pool carry-over.  (In-process pools share
     the parent's tree, so it is reset explicitly too.)
     """
-    import gc
-
     from repro.concurrency.snapshot import reset_process_tree
     from repro.engine import workers as worker_module
-    from repro.engine.executor import ShardedExecutor
-    from repro.engine.memo import CheckMemo
-    from repro.obs.metrics import REGISTRY
 
     workers = resolve_workers(workers)
     original_memo = worker_module.MEMO
 
     def cold_run(bound, use_cache):
-        worker_module.MEMO = CheckMemo()
-        reset_process_tree()
-        gc.collect()
-        with ShardedExecutor(workers) as pool:
-            before = REGISTRY.snapshot()
-            t0 = time.perf_counter()
-            result = parallel_interleaving_campaign(
-                preemption_bound=bound, max_schedules=max_schedules,
-                seed=seed, executor=pool, prefix_cache=use_cache)
-            seconds = time.perf_counter() - t0
-            delta = REGISTRY.delta(before)
-        return result, seconds, delta
+        return _cold_campaign(
+            dict(preemption_bound=bound, max_schedules=max_schedules,
+                 seed=seed, prefix_cache=use_cache), workers)
 
     per_bound = {}
     try:
@@ -667,307 +669,6 @@ def bench_prefix_cache(*, bounds=(2, 3), max_schedules=600, seed=0,
         "bounds": per_bound,
         "byte_identical": True,
     }
-
-
-def bench_fixed_cost(*, bound=2, max_schedules=600, seed=0,
-                     workers=None, repeats=3) -> dict:
-    """Price the per-run fixed costs the continuation engine retires.
-
-    Four full campaign variants on the same grid, every one gated on
-    repr-identity against the first:
-
-    * ``threads`` engine, prefix cache off, legacy capture gate — the
-      pre-cache fabric;
-    * ``threads`` engine, cache on, legacy gate — the PR 8 shipping
-      configuration, the baseline the acceptance speedup is measured
-      against;
-    * ``continuation`` engine, cache off, extended gate;
-    * ``continuation`` engine, cache on, extended gate — the new
-      default.
-
-    The headline ``speedup_vs_pr8_baseline`` times the bound-2
-    sequential interleaving bench head-to-head: the PR 8 shipping path
-    (threads engine, per-schedule world rebuild, a third world
-    execution inside the NI check, unmemoised final diff) against the
-    amortized default (continuation engine, prototype clones, prepared
-    NI reuse, digest-tier diff) — repr-identical required.  The
-    ``variants`` section times the *parallel* campaign matrix, with
-    ``speedup_parallel`` comparing the PR 8 configuration
-    (threads/cache-on/legacy-gate) to the new default.  The ``gate``
-    section compares
-    the legacy and extended capture gates' decision-states-saved
-    fraction, hit rate, and resident bytes so a raised capture ceiling
-    that quietly tanked the hit rate would show up here.
-
-    The ``components`` section prices each retired fixed cost in
-    isolation: per-run scheduler drive cost on both engines (the
-    thread-creation/join + Event handoff tax vs the arena'd loop), the
-    NI digest fast path vs a direct observation diff, warm incremental
-    vs cold full-rehash state fingerprinting, and bare world assembly
-    (clone + scheduler construction, the floor neither engine can
-    remove).
-    """
-    import gc
-
-    from repro.concurrency.scheduler import ENV_ENGINE, Schedule
-    from repro.concurrency.snapshot import ENV_GATE, reset_process_tree
-    from repro.engine import workers as worker_module
-    from repro.engine.executor import ShardedExecutor
-    from repro.engine.fingerprint import fingerprint, state_fingerprint
-    from repro.engine.memo import CheckMemo
-    from repro.faults.campaign import (
-        build_interleaved_world, execute_interleaved,
-        interleaving_campaign)
-    from repro.hyperenclave.monitor import HOST_ID
-    from repro.obs.metrics import REGISTRY
-    from repro.security.noninterference import observation_diff
-
-    workers = resolve_workers(workers)
-    original_memo = worker_module.MEMO
-    saved_env = {name: os.environ.get(name)
-                 for name in (ENV_ENGINE, ENV_GATE)}
-
-    def set_env(engine, gate):
-        # plain assignment, not a context manager: ``fork`` propagates
-        # the environment, so pool workers inherit the variant's knobs
-        os.environ[ENV_ENGINE] = engine
-        os.environ[ENV_GATE] = gate
-
-    def cold_run(engine, use_cache, gate):
-        set_env(engine, gate)
-        worker_module.MEMO = CheckMemo()
-        reset_process_tree()
-        gc.collect()
-        with ShardedExecutor(workers) as pool:
-            before = REGISTRY.snapshot()
-            t0 = time.perf_counter()
-            result = parallel_interleaving_campaign(
-                preemption_bound=bound, max_schedules=max_schedules,
-                seed=seed, executor=pool, prefix_cache=use_cache)
-            seconds = time.perf_counter() - t0
-            delta = REGISTRY.delta(before)
-        return result, seconds, delta
-
-    VARIANTS = [
-        ("threads", False, "legacy"),
-        ("threads", True, "legacy"),          # PR 8 shipping config
-        ("continuation", False, "extended"),
-        ("continuation", True, "extended"),   # new default
-    ]
-
-    variants = {}
-    baseline_repr = None
-    schedules = states = 0
-    try:
-        for engine, use_cache, gate in VARIANTS:
-            name = f"{engine}/{'on' if use_cache else 'off'}/{gate}"
-            times = []
-            counters = {}
-            bytes_resident = 0
-            for _ in range(repeats):
-                result, seconds, delta = cold_run(engine, use_cache, gate)
-                times.append(seconds)
-                if baseline_repr is None:
-                    baseline_repr = repr(result)
-                    schedules = len(result.runs)
-                    states = sum(len(r.decisions)
-                                 for _, r in result.runs)
-                elif repr(result) != baseline_repr:
-                    raise RuntimeError(
-                        f"fixed-cost variant {name} diverged from the "
-                        f"threads/cache-off baseline")
-                result = None
-                for cname, value in delta["counters"].items():
-                    if cname.startswith("snapshot_cache."):
-                        key = cname[len("snapshot_cache."):]
-                        counters[key] = counters.get(key, 0) + value
-                bytes_resident = max(
-                    bytes_resident,
-                    delta["gauges"].get(
-                        "snapshot_cache.bytes_resident", 0))
-            hits = counters.get("hits", 0)
-            lookups = hits + counters.get("misses", 0)
-            steps_saved = counters.get("steps_saved", 0)
-            variants[name] = {
-                "engine": engine,
-                "prefix_cache": use_cache,
-                "snapshot_gate": gate,
-                "seconds_per_repeat": [round(t, 4) for t in times],
-                "seconds": round(statistics.median(times), 4),
-                "hit_rate": (round(hits / lookups, 4)
-                             if lookups else 0.0),
-                "decision_states_saved": (
-                    round(steps_saved / (states * repeats), 4)
-                    if states else 0.0),
-                "counters": counters,
-                "bytes_resident": int(bytes_resident),
-            }
-
-        baseline = variants["threads/on/legacy"]
-        default = variants["continuation/on/extended"]
-        legacy_gate = baseline
-        extended_gate = default
-
-        # -- the headline: bound-2 sequential bench, PR 8 path vs the
-        # amortized default --------------------------------------------
-        seq_grid = dict(preemption_bound=bound,
-                        max_schedules=max_schedules, seed=seed)
-        pr8_times, new_times = [], []
-        pr8_repr = new_repr = None
-        for _ in range(repeats):
-            set_env("threads", "legacy")
-            t0 = time.perf_counter()
-            result = interleaving_campaign(**seq_grid, amortize=False)
-            pr8_times.append(time.perf_counter() - t0)
-            pr8_repr = repr(result)
-            set_env("continuation", "extended")
-            t0 = time.perf_counter()
-            result = interleaving_campaign(**seq_grid)
-            new_times.append(time.perf_counter() - t0)
-            new_repr = repr(result)
-        if new_repr != pr8_repr:
-            raise RuntimeError(
-                "amortized sequential campaign diverged from the "
-                "PR 8-style baseline")
-        pr8_s = statistics.median(pr8_times)
-        new_s = statistics.median(new_times)
-        sequential = {
-            "pr8_style": {
-                "engine": "threads", "amortize": False,
-                "seconds_per_repeat": [round(t, 4) for t in pr8_times],
-                "seconds": round(pr8_s, 4),
-            },
-            "amortized": {
-                "engine": "continuation", "amortize": True,
-                "seconds_per_repeat": [round(t, 4) for t in new_times],
-                "seconds": round(new_s, 4),
-            },
-            "byte_identical": True,
-        }
-
-        # -- per-component fixed costs, measured in isolation ---------
-        def timed(fn, rounds):
-            t0 = time.perf_counter()
-            for _ in range(rounds):
-                fn()
-            return (time.perf_counter() - t0) / rounds
-
-        rounds = max(10, 5 * repeats)
-        root = Schedule(seed=seed, preemptions=(), crash=None)
-
-        def drive(engine):
-            set_env(engine, "legacy" if engine == "threads"
-                    else "extended")
-            state, ctx = build_interleaved_world()
-
-            def run():
-                s, _ = build_interleaved_world()
-                execute_interleaved(s, ctx, root)
-            before = REGISTRY.snapshot()
-            per_run = timed(run, rounds)
-            delta = REGISTRY.delta(before)["counters"]
-            return {
-                "ms_per_run": round(per_run * 1e3, 3),
-                "handoffs": delta.get("sched.handoffs", 0),
-                "inline_decisions": delta.get(
-                    "sched.inline_decisions", 0),
-                "arena_reuses": delta.get("sched.arena_reuses", 0),
-                "fiber_steps": delta.get("sched.fiber_steps", 0),
-            }
-
-        thread_handoff = {
-            "threads": drive("threads"),
-            "continuation": drive("continuation"),
-        }
-        thread_handoff["ms_saved_per_run"] = round(
-            thread_handoff["threads"]["ms_per_run"]
-            - thread_handoff["continuation"]["ms_per_run"], 3)
-
-        # NI diff: the digest fast path (two fingerprint-distinct but
-        # observation-equal states) vs a direct pairwise diff.
-        set_env("continuation", "extended")
-        state_a, ctx_a = build_interleaved_world()
-        execute_interleaved(state_a, ctx_a, root)
-        state_b, ctx_b = build_interleaved_world()
-        execute_interleaved(state_b, ctx_b, root)
-        memo = CheckMemo()
-        fingerprint(state_a.monitor), fingerprint(state_b.monitor)
-        digest_us = timed(
-            lambda: memo.final_state_diff(
-                state_a, state_b, HOST_ID, HOST_ID), rounds * 10) * 1e6
-        direct_us = timed(
-            lambda: observation_diff(state_a, state_b, HOST_ID),
-            rounds * 10) * 1e6
-        ni_diff = {
-            "digest_us_per_pair": round(digest_us, 2),
-            "direct_us_per_pair": round(direct_us, 2),
-            "speedup": (round(direct_us / digest_us, 2)
-                        if digest_us else 0.0),
-        }
-
-        # Fingerprint: warm incremental (clean frame-digest cache) vs
-        # a cold full rehash (every frame marked dirty).
-        state_fingerprint(state_a)
-
-        def cold_fp():
-            state_a.monitor.phys._mark_all_dirty()
-            state_fingerprint(state_a)
-        warm_us = timed(lambda: state_fingerprint(state_a),
-                        rounds * 10) * 1e6
-        cold_us = timed(cold_fp, rounds * 10) * 1e6
-        fp_component = {
-            "warm_us": round(warm_us, 2),
-            "cold_rehash_us": round(cold_us, 2),
-            "speedup": round(cold_us / warm_us, 2) if warm_us else 0.0,
-        }
-
-        assembly_ms = timed(lambda: build_interleaved_world(),
-                            rounds) * 1e3
-
-        record = {
-            "benchmark": "fixed-cost",
-            "config": {"preemption_bound": bound,
-                       "max_schedules": max_schedules, "seed": seed,
-                       "workers": workers, "repeats": repeats,
-                       **_engine_config()},
-            "schedules": schedules,
-            "states": states,
-            "sequential": sequential,
-            "variants": variants,
-            "speedup_vs_pr8_baseline": round(pr8_s / new_s, 2),
-            "speedup_parallel": round(
-                baseline["seconds"] / default["seconds"], 2),
-            "gate": {
-                "legacy": {
-                    "decision_states_saved":
-                        legacy_gate["decision_states_saved"],
-                    "hit_rate": legacy_gate["hit_rate"],
-                    "bytes_resident": legacy_gate["bytes_resident"],
-                },
-                "extended": {
-                    "decision_states_saved":
-                        extended_gate["decision_states_saved"],
-                    "hit_rate": extended_gate["hit_rate"],
-                    "bytes_resident": extended_gate["bytes_resident"],
-                },
-            },
-            "components": {
-                "thread_handoff": thread_handoff,
-                "ni_diff": ni_diff,
-                "fingerprint": fp_component,
-                "assembly": {"ms_per_world": round(assembly_ms, 3)},
-            },
-            "byte_identical": True,
-        }
-    finally:
-        worker_module.MEMO = original_memo
-        reset_process_tree()
-        for name, value in saved_env.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-    return record
 
 
 def _canonical_verdicts(report):
@@ -1261,13 +962,6 @@ def main(argv=None):
                              "cache (campaign with the cache on vs "
                              "off per preemption bound) and merge the "
                              "section into --out")
-    parser.add_argument("--fixed-cost", action="store_true",
-                        help="measure the per-run fixed costs across "
-                             "the engine matrix (threads vs "
-                             "continuation, cache on/off, legacy vs "
-                             "extended capture gate, plus per-"
-                             "component breakdowns) and merge the "
-                             "section into --out")
     parser.add_argument("--preemption-bound", type=int, default=2)
     parser.add_argument("--max-schedules", type=int, default=600)
     parser.add_argument("--workers", type=int, default=None)
@@ -1300,7 +994,7 @@ def main(argv=None):
             parser.error(f"unknown --arch {args.arch!r} "
                          f"(choose from {sorted(ARCH_CONFIGS)})")
         if (args.symbolic or args.durability or args.service
-                or args.prefix_cache or args.fixed_cost):
+                or args.prefix_cache):
             parser.error("--arch only applies to the checking-fabric "
                          "bench")
         arch_config = ARCH_CONFIGS[args.arch]
@@ -1377,28 +1071,6 @@ def main(argv=None):
             for entry in record["bounds"].values()))
         return merged
 
-    if args.fixed_cost:
-        record = bench_fixed_cost(bound=args.preemption_bound,
-                                  max_schedules=args.max_schedules,
-                                  workers=args.workers,
-                                  repeats=args.repeats)
-        merged = _merged_out(out, "fixed_cost", record)
-        gate = record["gate"]
-        print(f"sequential PR8-style "
-              f"{record['sequential']['pr8_style']['seconds']}s  "
-              f"amortized "
-              f"{record['sequential']['amortized']['seconds']}s  "
-              f"speedup vs PR8 baseline "
-              f"{record['speedup_vs_pr8_baseline']}x  "
-              f"parallel {record['speedup_parallel']}x  "
-              f"states-saved legacy "
-              f"{gate['legacy']['decision_states_saved']} -> extended "
-              f"{gate['extended']['decision_states_saved']}  "
-              f"handoff saving "
-              f"{record['components']['thread_handoff']['ms_saved_per_run']}"
-              f"ms/run")
-        return merged
-
     if args.service:
         record = bench_service(
             preemption_bound=args.preemption_bound,
@@ -1430,8 +1102,9 @@ def main(argv=None):
     section = (None if args.arch in (None, "x86_64")
                else f"arch_{args.arch}")
     merged = _merged_out(out, section, record)
-    line = (f"sequential {record['sequential']['seconds']}s  "
-            f"parallel {record['parallel']['seconds']}s  "
+    line = (f"1 worker {record['one_worker']['seconds']}s  "
+            f"{record['config']['workers']} workers "
+            f"{record['parallel']['seconds']}s  "
             f"speedup {record['speedup']}x  "
             f"({record['schedules']} schedules, "
             f"{record['states']} states, "

@@ -8,12 +8,12 @@ crash-consistency bug with the fault-injection campaign, and the two
 concurrency bugs with the bounded-preemption interleaving explorer.
 
 This lives in the library (rather than only in
-``benchmarks/test_bench_bug_matrix.py``, which now imports it) so the
-matrix can be re-run *through the parallel fabric*: the sensitivity
-guard for the fingerprint memoisation and the sharded merge.  A cache
-or merge bug that masked a real violation would flip a conviction here;
-:func:`run_matrix_parallel` must convict all 13 with verdict strings
-identical to :func:`run_matrix`'s.
+``benchmarks/test_bench_bug_matrix.py``, which imports it) so the
+matrix runs *through the checking fabric*: the sensitivity guard for
+the fingerprint memoisation and the sharded merge.  A cache or merge
+bug that masked a real violation would flip a conviction here;
+:func:`run_matrix_parallel` must convict all 13 at every worker count,
+with verdict strings equal to the committed golden digests.
 """
 
 from typing import List, Tuple
@@ -239,46 +239,34 @@ def nontransactional_workload():
     return default_workload()[:2]
 
 
-def detect_no_rollback(monitor_cls, _arg=None, *, parallel=False,
-                       executor=None, config=None):
-    """A tiny crash-step sweep: partial mutations survive the abort."""
+def detect_no_rollback(monitor_cls, _arg=None, *, executor=None,
+                       config=None):
+    """A tiny crash-step sweep: partial mutations survive the abort.
+    Runs on ``executor``, or in-process without one."""
     from repro.engine.campaigns import (
         callable_path,
         parallel_crash_step_campaign,
     )
-    from repro.faults import crash_step_campaign
 
-    path = callable_path(monitor_cls)
-    config_name = _config_name(config)
-    if parallel:
-        report = parallel_crash_step_campaign(
-            "repro.engine.bug_matrix:nontransactional_world_factory",
-            "repro.engine.bug_matrix:nontransactional_workload",
-            factory_args=(path, config_name), sites=(), seed=0,
-            executor=executor)
-    else:
-        report = crash_step_campaign(
-            nontransactional_world_factory(path, config_name),
-            nontransactional_workload(), sites=(), seed=0)
+    report = parallel_crash_step_campaign(
+        "repro.engine.bug_matrix:nontransactional_world_factory",
+        "repro.engine.bug_matrix:nontransactional_workload",
+        factory_args=(callable_path(monitor_cls), _config_name(config)),
+        sites=(), seed=0, workers=1, executor=executor)
     return (not report.ok,
             f"fault campaign: {len(report.failures())} un-rolled-back "
             f"aborts")
 
 
-def detect_concurrency_bug(monitor_cls, _arg=None, *, parallel=False,
-                           executor=None, config=None):
-    """Bounded-preemption exploration flags the planted race."""
+def detect_concurrency_bug(monitor_cls, _arg=None, *, executor=None,
+                           config=None):
+    """Bounded-preemption exploration flags the planted race.
+    Runs on ``executor``, or in-process without one."""
     from repro.engine.campaigns import parallel_interleaving_campaign
-    from repro.faults import interleaving_campaign
 
-    if parallel:
-        result = parallel_interleaving_campaign(monitor_cls,
-                                                check_ni=False,
-                                                config=config,
-                                                executor=executor)
-    else:
-        result = interleaving_campaign(monitor_cls, check_ni=False,
-                                       config=config)
+    result = parallel_interleaving_campaign(monitor_cls, check_ni=False,
+                                            config=config, workers=1,
+                                            executor=executor)
     kinds = "/".join(sorted(result.by_kind()))
     return not result.ok, f"interleaving explorer: {kinds}"
 
@@ -318,13 +306,14 @@ MATRIX = [
 _CAMPAIGN_DETECTORS = (detect_no_rollback, detect_concurrency_bug)
 
 
-def run_case(index, *, parallel=False, executor=None,
-             memo=None, config=None) -> Tuple[str, bool, str]:
-    """Run one matrix row: ``(bug name, detected, how)``."""
+def run_case(index, *, executor=None, memo=None,
+             config=None) -> Tuple[str, bool, str]:
+    """Run one matrix row: ``(bug name, detected, how)``.  A campaign
+    row runs its campaign on ``executor``, or in-process without one."""
     monitor_cls, detector, arg = MATRIX[index]
     if detector in _CAMPAIGN_DETECTORS:
-        detected, how = detector(monitor_cls, arg, parallel=parallel,
-                                 executor=executor, config=config)
+        detected, how = detector(monitor_cls, arg, executor=executor,
+                                 config=config)
     elif detector is detect_ni_bug:
         detected, how = detector(monitor_cls, arg, config=config)
     else:
@@ -333,20 +322,15 @@ def run_case(index, *, parallel=False, executor=None,
     return (monitor_cls.BUG, detected, how)
 
 
-def run_matrix(memo=None, config=None) -> List[Tuple[str, bool, str]]:
-    """The whole matrix, sequentially, in matrix order."""
-    return [run_case(index, memo=memo, config=config)
-            for index in range(len(MATRIX))]
-
-
 def run_matrix_parallel(workers=None, executor=None, stats_out=None,
                         config=None) -> List[Tuple[str, bool, str]]:
-    """The whole matrix through the parallel fabric.
+    """The whole matrix through the checking fabric, in matrix order.
 
     Single-state convictions fan out as units (their invariant sweeps
     memoised in the workers); campaign-backed convictions run their
-    campaigns through the shared executor.  Results are in matrix order
-    with verdict strings identical to :func:`run_matrix`'s.
+    campaigns through the shared executor.  ``workers=1`` runs the
+    whole matrix in-process, with verdicts identical to any other
+    worker count.
     """
     from repro.engine.campaigns import _executor, _publish_stats
 
@@ -363,7 +347,7 @@ def run_matrix_parallel(workers=None, executor=None, stats_out=None,
             results[index] = outcome
         for index in range(len(MATRIX)):
             if results[index] is None:
-                results[index] = run_case(index, parallel=True,
-                                          executor=pool, config=config)
+                results[index] = run_case(index, executor=pool,
+                                          config=config)
         _publish_stats(stats_out, pool)
     return results

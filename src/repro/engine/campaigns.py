@@ -1,22 +1,24 @@
-"""Parallel counterparts of every sequential checking campaign.
+"""Checking campaigns over the sharded executor.
 
-Each function here fans a sequential campaign's work units out through
-the :class:`~repro.engine.executor.ShardedExecutor` and merges the
-results **byte-identically** to the sequential run:
+Each function here fans a campaign's work units out through the
+:class:`~repro.engine.executor.ShardedExecutor` and merges the results
+**byte-identically** at every worker count (``workers=1`` runs
+in-process: that is the sequential form of every campaign here):
 
-* unit enumeration happens in the parent, in the sequential sweep
-  order;
+* unit enumeration happens in the parent, in sweep order;
 * units are pure functions of their seeds (every worker rebuilds or
   clones its worlds deterministically);
 * the merge reassembles results by unit index, so worker count and
   completion order cannot leak into the report.
 
-The speed comes from three places: process parallelism, per-worker
-world prototypes (clone instead of reboot), and the
-fingerprint-memoised checkers in :mod:`repro.engine.memo` — the
-interleaving campaign additionally reuses its own secret-41 execution
-as world A of the noninterference re-run, saving one of the three
-world executions the sequential campaign pays per schedule.
+The speed comes from process parallelism, per-worker world prototypes
+(clone instead of reboot), the fingerprint-memoised checkers in
+:mod:`repro.engine.memo` and, for the interleaving campaign, the
+snapshot tree of :mod:`repro.concurrency.snapshot` plus the reuse of
+its own secret-41 execution as world A of the noninterference re-run.
+The fault campaigns keep in-process reference drivers in
+:mod:`repro.faults.campaign`; the interleaving campaign's verdicts are
+pinned by the committed golden digests instead.
 
 All functions accept ``workers`` (see
 :func:`~repro.engine.executor.resolve_workers`) or a pre-built
@@ -68,10 +70,20 @@ def parallel_interleaving_campaign(monitor_cls=None, *,
                                    config=None, observers=None,
                                    workers=None, executor=None,
                                    stats_out=None, prefix_cache=None):
-    """:func:`repro.faults.campaign.interleaving_campaign`, fanned out
-    one BFS wavefront at a time; the returned
-    :class:`~repro.concurrency.explorer.ExplorationResult` is
-    byte-identical to the sequential campaign's.
+    """The systematic interleaving sweep — the concurrency tentpole.
+
+    Bounded-preemption exploration over the racing-vCPU workload, one
+    BFS wavefront at a time, with the full verification battery applied
+    to *every* explored schedule: the run's own findings (lock-
+    discipline violations, stale translations, vCPU errors), all Sec.
+    5.2 invariant families plus the per-vCPU consistency check on the
+    final state, and (with ``check_ni``) the two-world noninterference
+    re-run — the same schedule executed in a secret-41 and a secret-42
+    world must produce the identical scheduler trace and
+    observer-indistinguishable final states.  Returns the explorer's
+    :class:`~repro.concurrency.explorer.ExplorationResult`; every
+    violation carries its replayable ``(seed, schedule)``, and the
+    result is byte-identical at every worker count.
 
     ``prefix_cache`` toggles the snapshot-tree execution cache in the
     workers (None resolves ``REPRO_PREFIX_CACHE``; default on).  With

@@ -59,14 +59,12 @@ def _interleaved_world(monitor_path, config, secret):
 
 
 def _interleaved_run_world(monitor_path, config):
-    """A prototype-backed ``run_world(secret, schedule)`` using the
-    scheduler's inline-handoff fast path."""
+    """A prototype-backed ``run_world(secret, schedule)``."""
     from repro.faults.campaign import execute_interleaved
 
     def run_world(secret, schedule):
         state, ctx = _interleaved_world(monitor_path, config, secret)
-        return execute_interleaved(state, ctx, schedule,
-                                   fast_handoff=True)
+        return execute_interleaved(state, ctx, schedule)
 
     return run_world
 
@@ -128,8 +126,7 @@ def run_interleaving_unit(unit):
     the schedule-NI re-run reusing this very execution as world A.
 
     Returns ``(RunResult, findings)`` for
-    :func:`~repro.concurrency.explorer.explore_batched`; the findings
-    are byte-identical to the sequential campaign's ``check`` hook.
+    :func:`~repro.concurrency.explorer.explore_batched`.
     """
     from repro.engine.fingerprint import structure_fingerprints
     from repro.faults.campaign import execute_interleaved
@@ -145,8 +142,7 @@ def run_interleaving_unit(unit):
     else:
         state, ctx = _interleaved_world(monitor_path, config, 41)
         state, result = execute_interleaved(state, ctx,
-                                            unit["schedule"],
-                                            fast_handoff=True)
+                                            unit["schedule"])
     fps = structure_fingerprints(state.monitor)
     findings = []
     report = MEMO.check_invariants(state.monitor, fps)

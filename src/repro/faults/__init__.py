@@ -49,7 +49,6 @@ from repro.faults.campaign import (
     enumerate_injectable_steps,
     execute_interleaved,
     hypercall_site,
-    interleaving_campaign,
     make_interleaved_run,
     run_crash_ni_index,
     run_crash_step_unit,
@@ -92,7 +91,6 @@ __all__ = [
     "enumerate_injectable_steps",
     "execute_interleaved",
     "hypercall_site",
-    "interleaving_campaign",
     "make_interleaved_run",
     "run_crash_ni_index",
     "run_crash_step_unit",

@@ -572,8 +572,8 @@ def run_crash_ni_index(two_worlds_factory, trace, index, *,
 def default_concurrent_scripts(ctx):
     """The two racing vCPU step scripts, as plain lists.
 
-    Shared by the legacy closure workloads below and the snapshot
-    tree's resumable workloads — both must execute the *identical* step
+    Shared by the closure workloads below and the snapshot tree's
+    resumable workloads — both must execute the *identical* step
     sequence for restore-from-snapshot runs to be byte-identical to
     from-scratch ones.
     """
@@ -632,13 +632,10 @@ class ScriptWorkloads:
     same sequence as the closures above.
 
     This is also the scheduler's *step-drivable workload protocol*
-    (``run_step``/``advance``/``steps_remaining``/``tasks``): handed to
-    :class:`~repro.concurrency.DeterministicScheduler` directly, the
-    continuation engine drives each script one step at a time from its
-    own loop — inline when the scheduling is settled, on a pooled fiber
-    otherwise — while the threaded engine falls back to the
-    :meth:`tasks` closures.  Both paths execute the identical step
-    sequence through these same three methods.
+    (``scripts``/``run_step``/``advance``/``steps_remaining``): handed
+    to :class:`~repro.concurrency.DeterministicScheduler` directly, the
+    scheduler drives each script one step at a time from its own loop —
+    inline when the scheduling is settled, on a pooled fiber otherwise.
     """
 
     def __init__(self, state, scripts, positions=None):
@@ -656,16 +653,6 @@ class ScriptWorkloads:
 
     def advance(self, vid):
         self.positions[vid] += 1
-
-    def tasks(self):
-        return [self._runner(vid) for vid in range(len(self.scripts))]
-
-    def _runner(self, vid):
-        def run():
-            while self.steps_remaining(vid):
-                self.run_step(vid)
-                self.advance(vid)
-        return run
 
 
 def build_interleaved_world(monitor_cls=None, config=None, *, secret=41):
@@ -699,30 +686,27 @@ def build_interleaved_world(monitor_cls=None, config=None, *, secret=41):
 
 
 def execute_interleaved(state, ctx, schedule, *, workloads=None,
-                        probe=True, fast_handoff=False):
+                        probe=True):
     """Run ``schedule`` over a :func:`build_interleaved_world` state.
 
     The vCPU scripts come from ``workloads`` (default
-    :func:`default_concurrent_workloads`); the stale-translation
-    detector probes after every decision unless ``probe`` is false.
-    ``fast_handoff`` enables the scheduler's inline-decision path (used
-    by the parallel fabric's workers; byte-identical results either
-    way).
+    :func:`default_concurrent_scripts`, step-drivable); the
+    stale-translation detector probes after every decision unless
+    ``probe`` is false.
     """
     from repro.concurrency import DeterministicScheduler
     from repro.concurrency.shootdown import detect_stale_translations
 
     if workloads is None:
-        # the default scripts go in step-drivable form so the
-        # continuation engine can run them inline (custom ``workloads``
-        # builders keep the legacy list-of-callables contract)
+        # the default scripts go in step-drivable form so the scheduler
+        # can run them step by step (custom ``workloads`` builders keep
+        # the list-of-callables contract)
         built = ScriptWorkloads(state, default_concurrent_scripts(ctx))
     else:
         built = workloads(state, ctx)
     scheduler = DeterministicScheduler(
         state.monitor, built, schedule,
-        probe=detect_stale_translations if probe else None,
-        fast_handoff=fast_handoff)
+        probe=detect_stale_translations if probe else None)
     result = scheduler.run()
     # Scrub the source page the harness used to seed the secret —
     # the concurrent analogue of :func:`default_two_worlds` zeroing
@@ -734,8 +718,7 @@ def execute_interleaved(state, ctx, schedule, *, workloads=None,
 
 
 def execute_interleaved_cached(prototype, ctx, schedule, *, tree,
-                               world_key, probe=True,
-                               fast_handoff=True):
+                               world_key, probe=True):
     """:func:`execute_interleaved`, restored from the snapshot tree.
 
     Looks up the deepest cached ancestor of ``schedule``'s predicted
@@ -762,8 +745,7 @@ def execute_interleaved_cached(prototype, ctx, schedule, *, tree,
         workloads = ScriptWorkloads(state, scripts)
     scheduler = DeterministicScheduler(
         state.monitor, workloads, schedule,
-        probe=detect_stale_translations if probe else None,
-        fast_handoff=fast_handoff)
+        probe=detect_stale_translations if probe else None)
     if node is not None:
         node.apply_to(scheduler)
     scheduler.snapshots = SnapshotPlan(tree, world_key, state,
@@ -779,119 +761,27 @@ def execute_interleaved_cached(prototype, ctx, schedule, *, tree,
 
 
 def make_interleaved_run(monitor_cls=None, config=None, *,
-                         workloads=None, probe=True, amortize=True,
-                         fast_handoff=False):
+                         workloads=None, probe=True):
     """A ``run_world(secret, schedule) -> (state, RunResult)`` factory.
 
-    With ``amortize`` (the default) each distinct ``secret``'s world is
-    built once and cloned per call — :func:`build_interleaved_world`'s
-    clean-prototype contract, the same idiom the parallel fabric's
-    workers use — so a campaign pays the assembly cost twice, not per
-    schedule.  ``amortize=False`` rebuilds every world from scratch
-    (the stateless-model-checking baseline the fixed-cost bench prices
-    the amortisation against).  Results are byte-identical either way:
-    a clone of the untouched prototype *is* a fresh build.
+    Each distinct ``secret``'s world is built once and cloned per call
+    — :func:`build_interleaved_world`'s clean-prototype contract, the
+    same idiom the fabric's workers use — so a campaign pays the
+    assembly cost twice, not per schedule.  A clone of the untouched
+    prototype *is* a fresh build, so results equal from-scratch runs.
     """
     prototypes = {}
 
     def run_world(secret, schedule):
-        if amortize:
-            proto = prototypes.get(secret)
-            if proto is None:
-                proto = prototypes[secret] = build_interleaved_world(
-                    monitor_cls, config, secret=secret)
-            state, ctx = proto[0].clone(), dict(proto[1])
-        else:
-            state, ctx = build_interleaved_world(monitor_cls, config,
-                                                 secret=secret)
-        return execute_interleaved(state, ctx, schedule,
-                                   workloads=workloads, probe=probe,
-                                   fast_handoff=fast_handoff)
+        proto = prototypes.get(secret)
+        if proto is None:
+            proto = prototypes[secret] = build_interleaved_world(
+                monitor_cls, config, secret=secret)
+        return execute_interleaved(proto[0].clone(), dict(proto[1]),
+                                   schedule, workloads=workloads,
+                                   probe=probe)
 
     return run_world
-
-
-def interleaving_campaign(monitor_cls=None, *, preemption_bound=2,
-                          max_schedules=600, seed=0, check_ni=True,
-                          crash=None, config=None, observers=None,
-                          amortize=True):
-    """The systematic interleaving sweep — the concurrency tentpole.
-
-    Bounded-preemption exploration over the racing-vCPU workload, with
-    the full verification battery applied to *every* explored schedule:
-    the run's own findings (lock-discipline violations, stale
-    translations, vCPU errors), all Sec. 5.2 invariant families plus
-    the per-vCPU consistency check on the final state, and (with
-    ``check_ni``) the two-world noninterference re-run — the same
-    schedule executed in a secret-41 and a secret-42 world must produce
-    the identical scheduler trace and observer-indistinguishable final
-    states.  Returns the explorer's
-    :class:`~repro.concurrency.explorer.ExplorationResult`; every
-    violation carries its replayable ``(seed, schedule)``.
-
-    ``amortize`` (default) retires the per-schedule fixed costs the
-    parallel fabric's workers never paid: worlds clone from cached
-    prototypes, the scheduler uses the inline-handoff fast path, the
-    noninterference check reuses the already-executed secret-41 state
-    (``check_schedule_noninterference_prepared``) instead of running a
-    third world, and final-state diffs go through a campaign-local
-    :class:`~repro.engine.memo.CheckMemo` digest tier.  Every one of
-    these is byte-identical to the naive path (``amortize=False``,
-    kept as the fixed-cost bench's baseline).
-    """
-    from repro.concurrency import explore
-    from repro.engine.memo import CheckMemo
-    from repro.hyperenclave.monitor import HOST_ID
-    from repro.security.invariants import (
-        check_all_invariants,
-        check_vcpu_consistency,
-    )
-    from repro.security.noninterference import (
-        check_schedule_noninterference,
-        check_schedule_noninterference_prepared,
-    )
-
-    run_world = make_interleaved_run(monitor_cls, config,
-                                     amortize=amortize,
-                                     fast_handoff=amortize)
-    memo = CheckMemo() if amortize else None
-    holder = {}
-
-    def run_schedule(schedule):
-        state, result = run_world(41, schedule)
-        holder["state"] = state
-        holder["result"] = result
-        return result
-
-    watchers = list(observers) if observers is not None else [HOST_ID]
-
-    def check(schedule, result):
-        findings = []
-        monitor = holder["state"].monitor
-        report = check_all_invariants(monitor)
-        for family in report.violated_families():
-            for item in report.violations[family]:
-                findings.append(("invariant", f"[{family}] {item}"))
-        for item in check_vcpu_consistency(monitor):
-            findings.append(("vcpu-consistency", item))
-        if check_ni:
-            if amortize:
-                violations = check_schedule_noninterference_prepared(
-                    holder["state"], holder["result"], run_world,
-                    schedule, watchers, diff=memo.final_state_diff)
-            else:
-                violations = check_schedule_noninterference(
-                    run_world, schedule, watchers)
-            for violation in violations:
-                findings.append(("noninterference", str(violation)))
-        return findings
-
-    with _trace.span("campaign.interleaving", seed=seed,
-                     preemption_bound=preemption_bound, parallel=False):
-        return explore(run_schedule, seed=seed,
-                       preemption_bound=preemption_bound,
-                       max_schedules=max_schedules, crash=crash,
-                       check=check)
 
 
 @dataclass

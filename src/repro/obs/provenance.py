@@ -273,33 +273,20 @@ def replay_bundle(bundle: ProvenanceBundle) -> ReplayOutcome:
 
 def _replay_interleaving(bundle) -> ReplayOutcome:
     from repro.concurrency.explorer import result_violations
-    from repro.engine.executor import resolve_callable
-    from repro.faults.campaign import make_interleaved_run
+    from repro.engine.workers import run_interleaving_unit
     from repro.hyperenclave.monitor import HOST_ID
-    from repro.security.invariants import (
-        check_all_invariants,
-        check_vcpu_consistency,
-    )
-    from repro.security.noninterference import check_schedule_noninterference
 
     schedule = _schedule_from_dict(bundle.schedule or {})
-    monitor_cls = resolve_callable(bundle.monitor) if bundle.monitor \
-        else None
-    run_world = make_interleaved_run(monitor_cls, None)
-    state, result = run_world(41, schedule)
+    # The campaign's own per-schedule battery, re-executed from a clean
+    # world (no snapshot restore): the replay checks exactly what the
+    # campaign checked.
+    result, checked = run_interleaving_unit({
+        "schedule": schedule, "monitor": bundle.monitor, "config": None,
+        "check_ni": bundle.check.get("check_ni", True),
+        "observers": list(bundle.check.get("observers", [HOST_ID])),
+        "prefix_cache": False})
     findings = [(v.kind, v.detail)
-                for v in result_violations(schedule, result)]
-    report = check_all_invariants(state.monitor)
-    for family in report.violated_families():
-        for item in report.violations[family]:
-            findings.append(("invariant", f"[{family}] {item}"))
-    for item in check_vcpu_consistency(state.monitor):
-        findings.append(("vcpu-consistency", item))
-    if bundle.check.get("check_ni", True):
-        observers = list(bundle.check.get("observers", [HOST_ID]))
-        for violation in check_schedule_noninterference(
-                run_world, schedule, observers):
-            findings.append(("noninterference", str(violation)))
+                for v in result_violations(schedule, result)] + checked
     expected = (bundle.violation.get("kind"),
                 bundle.violation.get("detail"))
     return ReplayOutcome(

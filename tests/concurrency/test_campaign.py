@@ -9,32 +9,36 @@ carrying a standalone-replayable ``(seed, schedule)``.
 import pytest
 
 from repro.concurrency import Schedule, replay
-from repro.faults import interleaving_campaign, make_interleaved_run
+from repro.engine import parallel_interleaving_campaign
+from repro.faults import make_interleaved_run
 from repro.hyperenclave import buggy
 
 
 @pytest.fixture(scope="module")
 def missing_lock_result():
-    return interleaving_campaign(buggy.MissingLockMonitor, check_ni=False)
+    return parallel_interleaving_campaign(buggy.MissingLockMonitor,
+                                          check_ni=False, workers=1)
 
 
 @pytest.fixture(scope="module")
 def no_shootdown_result():
-    return interleaving_campaign(buggy.NoShootdownMonitor, check_ni=False)
+    return parallel_interleaving_campaign(buggy.NoShootdownMonitor,
+                                          check_ni=False, workers=1)
 
 
 class TestRustMonitorSweep:
     def test_full_sweep_is_green(self):
         """Invariants + vCPU consistency + NI over every schedule."""
-        result = interleaving_campaign(check_ni=True)
+        result = parallel_interleaving_campaign(check_ni=True, workers=1)
         assert result.ok, result.summary()
         assert result.preemption_bound >= 2
         assert result.schedules_run > 100
         assert not result.truncated
 
     def test_exploration_is_deterministic(self):
-        first = interleaving_campaign(check_ni=False)
-        second = interleaving_campaign(check_ni=False)
+        first = parallel_interleaving_campaign(check_ni=False, workers=1)
+        second = parallel_interleaving_campaign(check_ni=False,
+                                                workers=1)
         assert [s for s, _r in first.runs] == [s for s, _r in second.runs]
         assert [r.trace for _s, r in first.runs] == \
             [r.trace for _s, r in second.runs]

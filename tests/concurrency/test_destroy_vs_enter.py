@@ -9,7 +9,7 @@ never to a broken invariant, a stale translation, or a vCPU error.
 
 import pytest
 
-from repro.concurrency import Schedule, explore
+from repro.concurrency import Schedule, explore_batched
 from repro.errors import HypervisorError, SecurityError
 from repro.faults import make_interleaved_run
 from repro.hyperenclave.monitor import HOST_ID
@@ -57,27 +57,25 @@ def racing_workloads(teardown_steps):
 def sweep(teardown_steps, preemption_bound=2):
     build = racing_workloads(teardown_steps)
     run_world = make_interleaved_run(workloads=build)
-    holder = {}
     outcomes_per_run = []
 
-    def run_schedule(schedule):
-        state, result = run_world(41, schedule)
-        holder["monitor"] = state.monitor
-        outcomes_per_run.append(build.outcomes)
-        return result
+    def run_batch(wave):
+        outputs = []
+        for schedule in wave:
+            state, result = run_world(41, schedule)
+            outcomes_per_run.append(build.outcomes)
+            findings = []
+            report = check_all_invariants(state.monitor)
+            for family in report.violated_families():
+                findings.append(("invariant", family))
+            for item in check_vcpu_consistency(state.monitor):
+                findings.append(("vcpu-consistency", item))
+            outputs.append((result, findings))
+        return outputs
 
-    def check(_schedule, _result):
-        findings = []
-        monitor = holder["monitor"]
-        report = check_all_invariants(monitor)
-        for family in report.violated_families():
-            findings.append(("invariant", family))
-        for item in check_vcpu_consistency(monitor):
-            findings.append(("vcpu-consistency", item))
-        return findings
-
-    return explore(run_schedule, preemption_bound=preemption_bound,
-                   check=check), outcomes_per_run
+    return explore_batched(run_batch,
+                           preemption_bound=preemption_bound), \
+        outcomes_per_run
 
 
 def hypercall_verdicts(outcomes_per_run, name):

@@ -1,14 +1,17 @@
-"""Sequential ↔ parallel byte-identity, campaign by campaign.
+"""Byte-identity across worker counts, campaign by campaign.
 
 The fabric's one hard guarantee: for every checking campaign, the
-merged parallel report is **byte-identical** (``repr``-equal, which
-covers every field of every record) to the sequential run — worker
-count, shard assignment, and completion order must not be observable.
-Each test here runs both sides of one campaign on a small grid and
-compares the full reports, including the campaigns where the planted
-concurrency bugs actually fire (violations must merge identically,
-not just clean runs).
+merged report is **byte-identical** (``repr``-equal, which covers every
+field of every record) at every worker count — shard assignment and
+completion order must not be observable.  The interleaving campaign
+runs on a 2-worker pool and must equal both the in-process
+``workers=1`` run and the committed golden digest, including the
+grids where the planted concurrency bugs fire (violations must merge
+identically, not just clean runs).  The fault campaigns compare the
+pool against their in-process reference drivers.
 """
+
+import pytest
 
 from repro.engine import (
     parallel_bitflip_campaigns,
@@ -26,45 +29,23 @@ from repro.faults.campaign import (
     crash_step_campaign,
     default_workload,
     default_world_factory,
-    interleaving_campaign,
 )
-from repro.hyperenclave.buggy import MissingLockMonitor, NoShootdownMonitor
+from tests.test_golden_verdicts import (
+    ENTRIES,
+    digest,
+    golden_result,
+    load_golden,
+)
 
 
-def test_interleaving_equivalence(pool):
-    seq = interleaving_campaign(max_schedules=40)
-    par = parallel_interleaving_campaign(max_schedules=40, executor=pool)
-    assert repr(par) == repr(seq)
-
-
-def test_interleaving_equivalence_with_crash(pool):
-    seq = interleaving_campaign(max_schedules=24, check_ni=False,
-                                crash=(1, 3))
-    par = parallel_interleaving_campaign(max_schedules=24,
-                                         check_ni=False, crash=(1, 3),
-                                         executor=pool)
-    assert repr(par) == repr(seq)
-
-
-def test_interleaving_equivalence_missing_lock(pool):
-    """Violating runs (lock-protocol findings) must merge identically."""
-    seq = interleaving_campaign(MissingLockMonitor, max_schedules=30,
-                                check_ni=False)
-    par = parallel_interleaving_campaign(MissingLockMonitor,
-                                         max_schedules=30,
-                                         check_ni=False, executor=pool)
-    assert not seq.ok
-    assert repr(par) == repr(seq)
-
-
-def test_interleaving_equivalence_no_shootdown(pool):
-    seq = interleaving_campaign(NoShootdownMonitor, max_schedules=150,
-                                check_ni=False)
-    par = parallel_interleaving_campaign(NoShootdownMonitor,
-                                         max_schedules=150,
-                                         check_ni=False, executor=pool)
-    assert not seq.ok
-    assert repr(par) == repr(seq)
+@pytest.mark.parametrize("name", [
+    "x86_64/interleaving/clean", "x86_64/interleaving/missing-lock",
+    "x86_64/interleaving/no-shootdown", "x86_64/interleaving/crash-1-3"])
+def test_interleaving_equivalence(pool, name):
+    sharded = ENTRIES[name](executor=pool)
+    assert repr(sharded) == repr(golden_result(name))
+    assert digest(sharded) == load_golden()[name]
+    assert sharded.ok == name.endswith(("clean", "crash-1-3"))
 
 
 def test_crash_step_equivalence(pool):

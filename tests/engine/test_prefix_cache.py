@@ -2,7 +2,7 @@
 
 The snapshot tree's one hard guarantee mirrors the fabric's: a
 campaign run through restored snapshots is **byte-identical**
-(``repr``-equal) to the untouched legacy from-scratch path — at any
+(``repr``-equal) to the uncached from-scratch path — at any
 cache capacity, including a budget of zero and a single-node LRU that
 evicts on every insert.  Hypothesis drives random (seed, preemption
 bound, fault plan) configurations through both paths; the directed
@@ -18,12 +18,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.concurrency.snapshot import (
+    DEFAULT_BUDGET_MB,
+    ENV_BUDGET,
     SnapshotTree,
     locality_key,
     prefix_cache_enabled,
     process_tree,
     reset_process_tree,
+    snapshot_budget_bytes,
 )
+from repro.errors import ConfigError
 from repro.engine.campaigns import parallel_interleaving_campaign
 from repro.obs.metrics import REGISTRY
 from repro.reporting.tables import render_metrics
@@ -143,6 +147,38 @@ def test_flag_resolution(monkeypatch):
     assert prefix_cache_enabled(None) is True
     monkeypatch.setenv("REPRO_PREFIX_CACHE", "")
     assert prefix_cache_enabled(None) is True
+
+
+def test_budget_resolution(monkeypatch):
+    """Unset/empty env means the default; any finite non-negative
+    number of megabytes is taken as given (0 disables capture)."""
+    monkeypatch.delenv(ENV_BUDGET, raising=False)
+    assert snapshot_budget_bytes() == int(DEFAULT_BUDGET_MB * 2 ** 20)
+    monkeypatch.setenv(ENV_BUDGET, " ")
+    assert snapshot_budget_bytes() == int(DEFAULT_BUDGET_MB * 2 ** 20)
+    monkeypatch.setenv(ENV_BUDGET, "0")
+    assert snapshot_budget_bytes() == 0
+    assert SnapshotTree().capacity_disabled
+    monkeypatch.setenv(ENV_BUDGET, "1.5")
+    assert snapshot_budget_bytes() == 3 * 2 ** 19
+
+
+@pytest.mark.parametrize("value", ["abc", "nan", "inf", "1e400", "-1"])
+def test_bad_budget_raises_config_error(monkeypatch, value):
+    """A budget that is no finite, non-negative number of megabytes
+    raises the typed ConfigError naming the variable, also from the
+    first ``process_tree()`` call a worker makes."""
+    monkeypatch.setenv(ENV_BUDGET, value)
+    with pytest.raises(ConfigError) as excinfo:
+        snapshot_budget_bytes()
+    assert ENV_BUDGET in str(excinfo.value)
+    assert value in str(excinfo.value)
+    reset_process_tree(None)
+    try:
+        with pytest.raises(ConfigError):
+            process_tree()
+    finally:
+        reset_process_tree(None)
 
 
 def test_locality_key_groups_subtrees():

@@ -126,11 +126,12 @@ class TestReplay:
         assert outcome.found[0]["engine"] == ENGINE_EXHAUSTIVE
 
     def test_interleaving_bundle_reproduces_planted_bug(self):
-        from repro.faults.campaign import interleaving_campaign
+        from repro.engine.campaigns import parallel_interleaving_campaign
         from repro.hyperenclave import buggy
 
-        result = interleaving_campaign(buggy.MissingLockMonitor,
-                                       check_ni=False, max_schedules=60)
+        result = parallel_interleaving_campaign(
+            buggy.MissingLockMonitor, check_ni=False, max_schedules=60,
+            workers=1)
         assert result.violations, "the planted lock bug must fire"
         bundles = bundles_from_exploration(
             result, monitor_cls=buggy.MissingLockMonitor, check_ni=False)

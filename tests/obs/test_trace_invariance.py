@@ -7,11 +7,11 @@ pass schema validation, so "the tracer broke nothing" and "the tracer
 recorded something coherent" are checked together.
 """
 
+from repro.engine.campaigns import parallel_interleaving_campaign
 from repro.faults.campaign import (
     crash_step_campaign,
     default_workload,
     default_world_factory,
-    interleaving_campaign,
 )
 from repro.obs import trace as trace_mod
 
@@ -33,9 +33,10 @@ def test_crash_step_campaign_verdicts_unchanged(tmp_path):
 
 
 def test_interleaving_campaign_verdicts_unchanged():
-    baseline = interleaving_campaign(max_schedules=25)
+    baseline = parallel_interleaving_campaign(max_schedules=25, workers=1)
     with trace_mod.installed(trace_mod.Tracer()) as tracer:
-        traced = interleaving_campaign(max_schedules=25)
+        traced = parallel_interleaving_campaign(max_schedules=25,
+                                                workers=1)
     assert repr(traced) == repr(baseline)
     trace_mod.validate_records(tracer.records)
     names = {r["name"] for r in tracer.records}

@@ -21,7 +21,7 @@ from repro.engine.bug_matrix import (
     leak_trace,
     run_case,
 )
-from repro.faults import interleaving_campaign
+from repro.engine.campaigns import parallel_interleaving_campaign
 from repro.security import DataOracle, SystemState
 from repro.security.invariants import check_all_invariants
 from repro.security.noninterference import (
@@ -94,15 +94,15 @@ class TestNoninterferencePerArch:
 
 class TestInterleavingPerArch:
     def test_correct_monitor_sweep_is_green(self, config):
-        result = interleaving_campaign(check_ni=True, config=config,
-                                       max_schedules=120)
+        result = parallel_interleaving_campaign(
+            check_ni=True, config=config, max_schedules=120, workers=1)
         assert result.ok
         assert result.schedules_run >= 50
 
     def test_missing_lock_caught(self, config):
-        result = interleaving_campaign(buggy.MissingLockMonitor,
-                                       check_ni=False, config=config,
-                                       max_schedules=200)
+        result = parallel_interleaving_campaign(
+            buggy.MissingLockMonitor, check_ni=False, config=config,
+            max_schedules=200, workers=1)
         assert not result.ok
         assert "lock-protocol" in result.by_kind()
 
