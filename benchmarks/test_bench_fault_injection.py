@@ -10,57 +10,39 @@ Three sweeps make up the robustness table:
 2. the untrusted-memory bit-flip campaign, and
 3. the crash-step noninterference campaign — the same faults injected
    symmetrically into the paper's 41-vs-42 two-world construction.
+
+Each runs through its :mod:`repro.engine.campaigns` driver at
+``workers=1`` (in-process).
 """
 
 import time
 
-from repro.faults import (
-    bitflip_campaign,
-    crash_ni_campaign,
-    crash_step_campaign,
-    default_workload,
-    default_world_factory,
+from repro.engine import (
+    parallel_bitflip_campaigns,
+    parallel_crash_ni_campaign,
+    parallel_crash_step_campaign,
 )
 from repro.hyperenclave.buggy import NonTransactionalMonitor
-from repro.hyperenclave.constants import TINY
-
-PAGE = TINY.page_size
-
-
-def buggy_world_factory():
-    def world():
-        monitor = NonTransactionalMonitor(TINY)
-        primary_os = monitor.primary_os
-        ctx = {
-            "page": PAGE,
-            "mbuf_pa": TINY.frame_base(primary_os.reserve_data_frame()),
-            "src_pa": TINY.frame_base(primary_os.reserve_data_frame()),
-            "elrange_base": 16 * PAGE,
-        }
-        primary_os.gpa_write_word(ctx["src_pa"], 0xDEAD)
-        return monitor, ctx
-
-    return world
 
 
 def test_bench_fault_campaign(emit):
-    factory = default_world_factory()
-    calls = default_workload()
-
     started = time.perf_counter()
-    crash = crash_step_campaign(factory, calls, seed=0)
+    crash = parallel_crash_step_campaign(seed=0, workers=1)
     crash_secs = time.perf_counter() - started
 
     started = time.perf_counter()
-    buggy = crash_step_campaign(buggy_world_factory(), calls, seed=0)
+    buggy = parallel_crash_step_campaign(
+        factory_args=(None, NonTransactionalMonitor), seed=0, workers=1)
     buggy_secs = time.perf_counter() - started
 
     started = time.perf_counter()
-    flips = bitflip_campaign(factory, calls[:5], flips=64, seed=0)
+    flips = parallel_bitflip_campaigns(
+        (0,), workload="repro.faults.campaign:create_add_workload",
+        flips=64, workers=1)[0]
     flip_secs = time.perf_counter() - started
 
     started = time.perf_counter()
-    ni = crash_ni_campaign(seed=0)
+    ni = parallel_crash_ni_campaign(seed=0, workers=1)
     ni_secs = time.perf_counter() - started
 
     sections = [

@@ -12,25 +12,28 @@ Walks the robustness plane end to end:
 5. crash the same step in two secret-differing worlds — still
    indistinguishable (crash-step noninterference).
 
+Steps 2-5 run through the campaign drivers of ``repro.engine`` at
+``workers=1``, in-process; any other worker count gives the same
+reports.
+
 Run:  python examples/fault_campaign.py
 """
 
+from repro.engine import (
+    parallel_bitflip_campaigns,
+    parallel_crash_ni_campaign,
+    parallel_crash_step_campaign,
+)
 from repro.errors import HypercallAborted
 from repro.faults import (
     EXHAUST,
     FaultPlane,
-    bitflip_campaign,
-    crash_ni_campaign,
-    crash_step_campaign,
     default_workload,
     default_world_factory,
     installed,
 )
 from repro.hyperenclave.buggy import NonTransactionalMonitor
-from repro.hyperenclave.constants import TINY
 from repro.hyperenclave.txn import monitor_digest
-
-PAGE = TINY.page_size
 
 
 def main():
@@ -53,38 +56,31 @@ def main():
           "back\n")
 
     # ---- 2. the full crash-step sweep ---------------------------------
-    report = crash_step_campaign(factory, calls, seed=0)
+    report = parallel_crash_step_campaign(seed=0, workers=1)
     print(report.render())
     assert report.ok
 
     # ---- 3. the same sweep catches the non-transactional monitor -----
-    def buggy_world():
-        buggy = NonTransactionalMonitor(TINY)
-        primary_os = buggy.primary_os
-        bctx = {
-            "page": PAGE,
-            "mbuf_pa": TINY.frame_base(primary_os.reserve_data_frame()),
-            "src_pa": TINY.frame_base(primary_os.reserve_data_frame()),
-            "elrange_base": 16 * PAGE,
-        }
-        primary_os.gpa_write_word(bctx["src_pa"], 0xDEAD)
-        return buggy, bctx
-
-    caught = crash_step_campaign(buggy_world, calls, seed=0)
+    # default_world_factory(config, monitor_cls): the same world, booting
+    # the broken monitor instead.
+    caught = parallel_crash_step_campaign(
+        factory_args=(None, NonTransactionalMonitor), seed=0, workers=1)
     print(f"\nNonTransactionalMonitor: {len(caught.failures())} of "
           f"{len(caught.runs)} faulted runs caught (rollback or "
           f"invariant violations)")
     assert not caught.ok
 
     # ---- 4. untrusted bit flips ---------------------------------------
-    flips = bitflip_campaign(factory, calls[:5], flips=32, seed=0)
+    flips = parallel_bitflip_campaigns(
+        (0,), workload="repro.faults.campaign:create_add_workload",
+        flips=32, workers=1)[0]
     print(f"\nbit flips in untrusted memory: "
           f"{flips.invariant_sweeps_passed}/{len(flips.runs)} invariant "
           f"sweeps green")
     assert flips.ok
 
     # ---- 5. crash-step noninterference --------------------------------
-    ni = crash_ni_campaign(seed=0)
+    ni = parallel_crash_ni_campaign(seed=0, workers=1)
     print(f"crash-step noninterference: {len(ni.runs)} symmetric "
           f"faulted runs, {len(ni.failures())} distinguishing — "
           f"{'OK' if ni.ok else 'VIOLATION'}")

@@ -9,7 +9,7 @@ merged deterministically.  This package provides:
 * :mod:`repro.engine.executor` — a deterministic sharded
   ``ProcessPoolExecutor`` wrapper: work units are partitioned by a
   stable shard key and the merge reassembles results in unit order, so
-  the combined output is byte-identical to the sequential run no matter
+  the combined output is byte-identical to the in-process run no matter
   how many workers raced.
 * :mod:`repro.engine.fingerprint` — canonical 64-bit fingerprints over
   the mutable monitor structures (phys, pt_allocator, epcm, enclaves,
@@ -19,9 +19,9 @@ merged deterministically.  This package provides:
   diffs, with per-structure dirty tracking: only families whose
   structures changed since an already-certified state are re-checked.
 * :mod:`repro.engine.campaigns` — every campaign over the executor,
-  byte-identical at every worker count (``workers=1`` runs in-process;
-  the interleaving campaign and the bug matrix exist only here, their
-  verdicts pinned by the committed golden digests).
+  byte-identical at every worker count (``workers=1`` runs in-process
+  and is the sequential form of every campaign; the verdicts are
+  pinned by the committed golden digests).
 * :mod:`repro.engine.bug_matrix` — the 13-planted-bug conviction
   matrix, runnable through the parallel fabric.
 * :mod:`repro.engine.bench` — the perf harness emitting
@@ -44,7 +44,6 @@ from repro.engine.campaigns import (
     parallel_crash_step_campaign,
     parallel_interleaving_campaign,
     parallel_pure_check_grid,
-    sequential_pure_check_grid,
 )
 from repro.engine.bug_matrix import run_matrix_parallel
 
@@ -72,7 +71,6 @@ __all__ = [
     "parallel_crash_step_campaign",
     "parallel_interleaving_campaign",
     "parallel_pure_check_grid",
-    "sequential_pure_check_grid",
     "run_matrix_parallel",
     "bench_checking",
 ]

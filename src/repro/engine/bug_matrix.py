@@ -205,54 +205,16 @@ def scrub_trace(app, eid, config=None):
     ]
 
 
-def nontransactional_world_factory(monitor_path=None, config_name=None):
-    """World-factory maker for the no-rollback conviction (addressable
-    by dotted path so the parallel campaign can rebuild it in
-    workers; ``config_name`` keys :data:`ARCH_CONFIGS` for the same
-    reason)."""
-    from repro.engine.executor import resolve_callable
-    from repro.hyperenclave.constants import ARCH_CONFIGS
-
-    monitor_cls = (resolve_callable(monitor_path) if monitor_path
-                   else buggy.NonTransactionalMonitor)
-    config = ARCH_CONFIGS[config_name] if config_name else TINY
-    page = config.page_size
-
-    def factory():
-        monitor = monitor_cls(config)
-        primary_os = monitor.primary_os
-        ctx = {
-            "page": page,
-            "mbuf_pa": config.frame_base(primary_os.reserve_data_frame()),
-            "src_pa": config.frame_base(primary_os.reserve_data_frame()),
-            "elrange_base": 16 * page,
-        }
-        primary_os.gpa_write_word(ctx["src_pa"], 0xDEAD)
-        return monitor, ctx
-
-    return factory
-
-
-def nontransactional_workload():
-    """create + add_page is enough to expose a missing rollback."""
-    from repro.faults import default_workload
-    return default_workload()[:2]
-
-
 def detect_no_rollback(monitor_cls, _arg=None, *, executor=None,
                        config=None):
     """A tiny crash-step sweep: partial mutations survive the abort.
     Runs on ``executor``, or in-process without one."""
-    from repro.engine.campaigns import (
-        callable_path,
-        parallel_crash_step_campaign,
-    )
+    from repro.engine.campaigns import parallel_crash_step_campaign
 
     report = parallel_crash_step_campaign(
-        "repro.engine.bug_matrix:nontransactional_world_factory",
-        "repro.engine.bug_matrix:nontransactional_workload",
-        factory_args=(callable_path(monitor_cls), _config_name(config)),
-        sites=(), seed=0, workers=1, executor=executor)
+        workload="repro.faults.campaign:create_add_workload",
+        factory_args=(config, monitor_cls), sites=(), seed=0, workers=1,
+        executor=executor)
     return (not report.ok,
             f"fault campaign: {len(report.failures())} un-rolled-back "
             f"aborts")

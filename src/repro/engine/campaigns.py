@@ -16,9 +16,10 @@ The speed comes from process parallelism, per-worker world prototypes
 :mod:`repro.engine.memo` and, for the interleaving campaign, the
 snapshot tree of :mod:`repro.concurrency.snapshot` plus the reuse of
 its own secret-41 execution as world A of the noninterference re-run.
-The fault campaigns keep in-process reference drivers in
-:mod:`repro.faults.campaign`; the interleaving campaign's verdicts are
-pinned by the committed golden digests instead.
+These drivers are the only form of each campaign: the per-unit bodies
+live in :mod:`repro.faults.campaign` (and run in-process at
+``workers=1``), and the verdicts are pinned by the committed golden
+digests.
 
 All functions accept ``workers`` (see
 :func:`~repro.engine.executor.resolve_workers`) or a pre-built
@@ -28,7 +29,7 @@ memoisation counters.
 """
 
 from contextlib import nullcontext
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.engine.executor import ShardedExecutor
 from repro.engine.memo import merge_stats
@@ -103,7 +104,7 @@ def parallel_interleaving_campaign(monitor_cls=None, *,
     use_cache = prefix_cache_enabled(prefix_cache)
 
     with _trace.span("campaign.interleaving", seed=seed,
-                     preemption_bound=preemption_bound, parallel=True), \
+                     preemption_bound=preemption_bound), \
             _executor(executor, workers) as pool:
         def run_batch(schedules):
             units = [{"schedule": schedule, "monitor": monitor_path,
@@ -132,11 +133,20 @@ def parallel_crash_step_campaign(factory=DEFAULT_WORLD_FACTORY,
                                  factory_args=(), sites=None, seed=0,
                                  runner=None, workers=None,
                                  executor=None, stats_out=None):
-    """:func:`repro.faults.campaign.crash_step_campaign` over the
-    sharded executor.  ``factory``/``workload``/``runner`` are dotted
-    paths (``factory`` names a *maker* called with ``factory_args`` to
-    produce the world factory, matching the sequential driver's
-    ``default_world_factory(config)`` convention)."""
+    """Sweep every fault site × every step index of every hypercall.
+
+    ``factory`` names a *maker* called with ``factory_args`` to produce
+    a deterministic ``world_factory() -> (monitor, ctx)`` (default
+    :func:`~repro.faults.campaign.default_world_factory`, whose
+    arguments are ``(config, monitor_cls)``); ``workload`` names a
+    function returning the ordered ``(name, invoke)`` pairs, each
+    ``invoke(monitor, ctx)`` performing exactly one hypercall.
+    ``runner``, if given, names a wrapper around each *armed*
+    invocation (the fault-free world rebuilding stays direct) — see
+    :func:`~repro.faults.campaign.scheduled_runner`.  One unit per
+    ``(hypercall, site, step)``; each runs
+    :func:`~repro.faults.campaign.run_crash_step_unit`.
+    """
     from repro.engine.executor import resolve_callable
     from repro.faults.campaign import (
         DEFAULT_SITES,
@@ -155,7 +165,7 @@ def parallel_crash_step_campaign(factory=DEFAULT_WORLD_FACTORY,
              in crash_step_units(world_factory, calls, sites)]
     report = CampaignReport(seed=seed)
     with _trace.span("campaign.crash-step", seed=seed,
-                     units=len(units), parallel=True), \
+                     units=len(units)), \
             _executor(executor, workers) as pool:
         report.runs = pool.map("repro.engine.workers:run_crash_step_unit",
                                units,
@@ -170,15 +180,15 @@ def parallel_bitflip_campaigns(seeds: Sequence[int],
                                workload=None, *, factory_args=(),
                                flips=64, workers=None, executor=None,
                                stats_out=None):
-    """One :func:`repro.faults.campaign.bitflip_campaign` per seed, in
-    parallel; returns the reports in seed order.  The per-seed campaign
-    stays whole (its flips are cumulative on one monitor), so the unit
-    of work is the seed."""
+    """One :func:`repro.faults.campaign.bitflip_campaign` per seed;
+    returns the reports in seed order.  ``workload`` (a path, or None
+    for an empty monitor) names the calls that run before the flips.
+    The per-seed campaign stays whole (its flips are cumulative on one
+    monitor), so the unit of work is the seed."""
     units = [{"factory": factory, "factory_args": tuple(factory_args),
               "workload": workload, "flips": flips, "seed": s}
              for s in seeds]
-    with _trace.span("campaign.bitflip", seeds=len(units),
-                     parallel=True), \
+    with _trace.span("campaign.bitflip", seeds=len(units)), \
             _executor(executor, workers) as pool:
         reports = pool.map("repro.engine.workers:run_bitflip_unit",
                            units, keys=[str(s) for s in seeds])
@@ -190,9 +200,26 @@ def parallel_crash_ni_campaign(factory=DEFAULT_TWO_WORLDS, *,
                                factory_args=(), trace=None, sites=None,
                                observers=None, seed=0, workers=None,
                                executor=None, stats_out=None):
-    """:func:`repro.faults.campaign.crash_ni_campaign` with one unit
-    per trace step (each unit owns that step's whole site×step sweep,
-    including the suffix drain)."""
+    """The crash-step noninterference campaign (on top of Lemmas
+    5.2-5.4).
+
+    The step-wise lemmas quantify over *completed* transitions; this
+    campaign quantifies over *crashed* ones: for every hypercall step of
+    a two-world trace and every injectable fault site/step index, the
+    same fault is injected into both worlds (identical seeded planes,
+    one per world so hit counting stays symmetric), and the observers
+    must remain unable to distinguish the worlds — right after the
+    rolled-back hypercall and through the whole remaining trace.  A
+    crash that opened a distinguishing channel (partial mutations
+    visible to the host, an asymmetric abort) is a violation.
+
+    ``factory`` names a two-worlds maker (default
+    :func:`~repro.faults.campaign.default_two_worlds`); ``trace``
+    defaults to :func:`~repro.faults.campaign.default_ni_trace`.  One
+    unit per trace step, owning that step's whole site×step sweep
+    including the suffix drain
+    (:func:`~repro.faults.campaign.run_crash_ni_index`).
+    """
     from repro.engine.executor import resolve_callable
     from repro.faults.campaign import (
         DEFAULT_SITES,
@@ -213,7 +240,7 @@ def parallel_crash_ni_campaign(factory=DEFAULT_TWO_WORLDS, *,
              for index in range(len(trace))]
     report = CampaignReport(seed=seed)
     with _trace.span("campaign.crash-ni", seed=seed,
-                     units=len(units), parallel=True), \
+                     units=len(units)), \
             _executor(executor, workers) as pool:
         per_index = pool.map("repro.engine.workers:run_crash_ni_unit",
                              units,
@@ -229,10 +256,19 @@ def parallel_crash_in_critical_section_campaign(monitor_cls=None, *,
                                                 workers=None,
                                                 executor=None,
                                                 stats_out=None):
-    """:func:`repro.faults.campaign.crash_in_critical_section_campaign`
-    with one unit per critical-section yield point.  The clean baseline
-    run (which discovers the points) executes in the parent, exactly as
-    the sequential campaign's does."""
+    """Kill a vCPU at every yield point inside a critical section.
+
+    The fault plane's crash model composed with the concurrency plane:
+    first the root schedule runs cleanly in the parent and every yield
+    taken while the yielding vCPU held locks is collected; then each such
+    ``(vid, yield_index)`` is one unit that re-runs the schedule with
+    the crash armed (:func:`~repro.faults.campaign.crash_point_record`).
+    The dying vCPU's transactional scope must roll its partial
+    hypercall back and release its locks (a dead vCPU may strand its
+    own work, never a lock), the other vCPU must run to completion,
+    and the final state must pass every invariant family plus the
+    per-vCPU consistency check.
+    """
     from repro.concurrency import Schedule
     from repro.faults.campaign import (
         CrashCampaignReport,
@@ -250,7 +286,7 @@ def parallel_crash_in_critical_section_campaign(monitor_cls=None, *,
     units = [{"monitor": monitor_path, "config": config, "seed": seed,
               "point": point} for point in points]
     with _trace.span("campaign.crash-critical-section", seed=seed,
-                     points=len(points), parallel=True), \
+                     points=len(points)), \
             _executor(executor, workers) as pool:
         report.records = pool.map(
             "repro.engine.workers:run_crash_point_unit", units,
@@ -277,31 +313,16 @@ def _pure_check_units(names, *, total_steps, total_seconds, seed,
             for name in names]
 
 
-def sequential_pure_check_grid(names, *, total_steps=None,
-                               total_seconds=None, seed=0,
-                               sample_count=128, max_exhaustive=4096,
-                               config=None, fake_clock=False) -> List:
-    """The hardened pure-check grid, run in-process: one
-    :class:`~repro.ccal.refinement.CheckReport` per name, each under
-    its :func:`~repro.verification.harness.split_budget` slice of the
-    grid-wide allowance.  The parallel grid's equivalence baseline."""
-    from repro.engine.workers import run_pure_check_unit
-    return [run_pure_check_unit(unit)
-            for unit in _pure_check_units(
-                names, total_steps=total_steps,
-                total_seconds=total_seconds, seed=seed,
-                sample_count=sample_count,
-                max_exhaustive=max_exhaustive, config=config,
-                fake_clock=fake_clock)]
-
-
 def parallel_pure_check_grid(names, *, total_steps=None,
                              total_seconds=None, seed=0,
                              sample_count=128, max_exhaustive=4096,
                              config=None, fake_clock=False,
                              workers=None, executor=None,
                              stats_out=None) -> List:
-    """:func:`sequential_pure_check_grid` over the sharded executor.
+    """The hardened pure-check grid: one
+    :class:`~repro.ccal.refinement.CheckReport` per name, each under
+    its :func:`~repro.verification.harness.split_budget` slice of the
+    grid-wide allowance.
 
     With ``fake_clock`` the budget's wall-clock reads a frozen zero in
     every worker, so ``budget_spent`` merges deterministically; without
@@ -313,8 +334,7 @@ def parallel_pure_check_grid(names, *, total_steps=None,
                               sample_count=sample_count,
                               max_exhaustive=max_exhaustive,
                               config=config, fake_clock=fake_clock)
-    with _trace.span("campaign.pure-grid", names=len(units),
-                     parallel=True), \
+    with _trace.span("campaign.pure-grid", names=len(units)), \
             _executor(executor, workers) as pool:
         reports = pool.map("repro.engine.workers:run_pure_check_unit",
                            units, keys=[u["name"] for u in units])

@@ -3,7 +3,7 @@
 Campaign work units are independent pure functions of their seeds, so
 they can run in any process in any order — as long as the merge puts
 the results back in unit order, the combined report is byte-identical
-to the sequential run.  :class:`ShardedExecutor` does exactly that:
+to the in-process run.  :class:`ShardedExecutor` does exactly that:
 
 * units are partitioned across workers by a **stable shard key**
   (blake2b of a caller-supplied key string, defaulting to the unit's
@@ -27,12 +27,12 @@ The pool uses the ``fork`` start method where available: workers
 inherit the parent's imports (cheap spawn) *and* its siphash seed,
 which keeps the toy ``measurement`` accumulator — the one piece of
 state built on Python's salted ``hash`` — consistent between the
-sequential baseline and every worker.
+parent and every worker.
 
 Worker count resolution: explicit argument, else the
 ``REPRO_CHECK_WORKERS`` environment variable, else ``os.cpu_count()``.
-``workers=1`` (or a single-unit map) runs in-process with identical
-semantics — the degenerate fabric is the sequential engine.
+``workers=1`` runs in-process with identical semantics — the
+degenerate fabric is the sequential form of every campaign.
 """
 
 import hashlib
@@ -172,10 +172,19 @@ class ShardedExecutor:
         return False
 
     def close(self):
-        """Shut down every slot pool, draining queued work first."""
+        """Shut down every slot pool, draining queued work first.
+
+        An in-process executor also drops this process's snapshot tree:
+        a pool's trees die with its workers, but units run in-process
+        warm the parent's tree, whose finished-campaign nodes would
+        otherwise stay resident until the LRU budget evicts them.
+        """
         pools, self._pools = self._pools, None
         for pool in pools or ():
             pool.shutdown()
+        if self.workers <= 1:
+            from repro.concurrency.snapshot import reset_process_tree
+            reset_process_tree()
 
     def terminate(self):
         """Kill worker processes *now* (the Ctrl-C / abort path).

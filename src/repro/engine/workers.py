@@ -17,10 +17,10 @@ every unit the worker's shards carry:
 * world factories / workloads / mir models — resolved and cached per
   dotted path.
 
-The unit runners reuse the *same* per-unit helpers the sequential
-campaigns run (:func:`~repro.faults.campaign.run_crash_step_unit` and
-friends), so sequential/parallel equivalence is structural, not
-re-implemented.
+The unit runners wrap the per-unit bodies of :mod:`repro.faults.campaign`
+(:func:`~repro.faults.campaign.run_crash_step_unit` and friends); at
+``workers=1`` the executor calls them in-process, so every worker count
+runs the same code.
 """
 
 from repro.engine.executor import resolve_callable
@@ -182,7 +182,7 @@ def run_crash_step_unit(unit):
 
 def run_bitflip_unit(unit):
     """One whole seeded bit-flip campaign (the per-seed unit keeps the
-    cumulative-corruption semantics of the sequential run)."""
+    flips cumulative on one monitor)."""
     from repro.faults.campaign import bitflip_campaign
     factory = _world_factory(unit["factory"],
                              unit.get("factory_args", ()))
@@ -195,18 +195,11 @@ def run_bitflip_unit(unit):
 
 def run_crash_ni_unit(unit):
     """All crash-NI runs of one trace step (list of RunRecords)."""
-    from repro.faults.campaign import (
-        default_ni_trace,
-        run_crash_ni_index,
-    )
+    from repro.faults.campaign import run_crash_ni_index
     factory = _world_factory(unit["factory"],
                              unit.get("factory_args", ()))
-    trace = unit.get("trace")
-    if trace is None:
-        worlds, eid = factory()
-        trace = default_ni_trace(eid, worlds.a.monitor.config.page_size)
     return run_crash_ni_index(
-        factory, trace, unit["index"], sites=tuple(unit["sites"]),
+        factory, unit["trace"], unit["index"], sites=tuple(unit["sites"]),
         observers=list(unit["observers"]), seed=unit.get("seed", 0))
 
 

@@ -1,4 +1,4 @@
-"""Fault injection: deterministic fault plane + campaign drivers.
+"""Fault injection: deterministic fault plane + campaign unit bodies.
 
 The robustness counterpart of the invariant checkers: instead of asking
 "does every *successful* hypercall preserve the Sec. 5.2 invariants?",
@@ -6,9 +6,11 @@ this package asks "does every *failed* one?".  A seed-driven
 :class:`FaultPlane` fires named injection sites threaded through
 :mod:`repro.hyperenclave` (allocator exhaustion, physical-memory write
 faults, bit flips, abort-at-step-k crashes inside each hypercall), and
-the campaign drivers sweep every site × every step index of every
+the campaigns sweep every site × every step index of every
 hypercall, asserting that the transactional monitor rolls back to
 exactly its pre-hypercall state with all invariant families intact.
+The campaign drivers are the ``parallel_*`` functions of
+:mod:`repro.engine.campaigns` (``workers=1`` runs them in-process).
 """
 
 from repro.faults.plane import (
@@ -36,10 +38,8 @@ from repro.faults.campaign import (
     RunRecord,
     bitflip_campaign,
     build_interleaved_world,
-    crash_in_critical_section_campaign,
-    crash_ni_campaign,
+    create_add_workload,
     crash_point_record,
-    crash_step_campaign,
     crash_step_units,
     default_concurrent_workloads,
     default_ni_trace,
@@ -78,10 +78,8 @@ __all__ = [
     "RunRecord",
     "bitflip_campaign",
     "build_interleaved_world",
-    "crash_in_critical_section_campaign",
-    "crash_ni_campaign",
+    "create_add_workload",
     "crash_point_record",
-    "crash_step_campaign",
     "crash_step_units",
     "default_concurrent_workloads",
     "default_ni_trace",

@@ -1,15 +1,15 @@
-"""Campaign drivers: sweep every fault site × every step of every hypercall.
+"""Fault campaigns' per-unit bodies: every fault site × every step.
 
 The crash-step campaign is the executable form of the robustness claim:
 *a hypercall that fails at any step leaves the monitor exactly where it
-started, with all Sec. 5.2 invariant families intact*.  The driver
+started, with all Sec. 5.2 invariant families intact*.  Its units
 
-1. dry-runs each hypercall of a workload under a record-only
-   :class:`~repro.faults.plane.FaultPlane` to count how often each
-   injection site is reached (the injectable step indices),
-2. then, for every ``(hypercall, site, step)`` triple, rebuilds the
-   world deterministically, arms one fault, runs the hypercall, and
-   checks three things: the typed abort surfaced
+1. come from dry-running each hypercall of a workload under a
+   record-only :class:`~repro.faults.plane.FaultPlane` to count how
+   often each injection site is reached (:func:`crash_step_units`),
+2. and each one (:func:`run_crash_step_unit`) rebuilds the world
+   deterministically, arms one fault, runs the hypercall, and checks
+   three things: the typed abort surfaced
    (:class:`~repro.errors.HypercallAborted`), the state digest equals
    the pre-hypercall digest (rollback), and
    :func:`repro.security.invariants.check_all_invariants` is all green.
@@ -22,6 +22,10 @@ The bit-flip campaign is the other half of hostile-environment
 robustness: arbitrary single-bit corruption of *untrusted* memory must
 never disturb any invariant family, because no secure state is ever
 derived from untrusted bytes.
+
+The campaigns themselves — unit enumeration, dispatch and merge — are
+the ``parallel_*`` drivers of :mod:`repro.engine.campaigns`; at
+``workers=1`` they run these bodies in-process.
 """
 
 import random
@@ -145,8 +149,9 @@ class CampaignReport:
 # ---------------------------------------------------------------------------
 
 
-def default_world_factory(config=None):
-    """A deterministic ``() -> (monitor, ctx)`` factory over TINY.
+def default_world_factory(config=None, monitor_cls=None):
+    """A deterministic ``() -> (monitor, ctx)`` factory over ``config``
+    (default TINY) booting ``monitor_cls`` (default ``RustMonitor``).
 
     ``ctx`` carries the workload's shared addresses (mbuf, source page,
     ELRANGE) plus whatever the calls stash (the enclave id).
@@ -155,9 +160,10 @@ def default_world_factory(config=None):
     from repro.hyperenclave.monitor import RustMonitor
 
     config = config or TINY
+    cls = monitor_cls or RustMonitor
 
     def factory():
-        monitor = RustMonitor(config)
+        monitor = cls(config)
         primary_os = monitor.primary_os
         page = config.page_size
         ctx = {
@@ -206,6 +212,13 @@ def default_workload() -> List[Tuple[str, Callable]]:
     ]
 
 
+def create_add_workload() -> List[Tuple[str, Callable]]:
+    """create + add_page, the first two calls of :func:`default_workload`:
+    enough to expose a missing rollback, and a live enclave page for
+    bit flips to land next to."""
+    return default_workload()[:2]
+
+
 def _world_at(world_factory, calls, upto):
     """A fresh world with ``calls[:upto]`` already applied cleanly."""
     monitor, ctx = world_factory()
@@ -242,12 +255,13 @@ def enumerate_injectable_steps(world_factory, calls,
 def scheduled_runner(invoke, monitor, ctx):
     """Run one hypercall as vCPU 0 of a one-task deterministic schedule.
 
-    The determinism guard: handing ``runner=scheduled_runner`` to
-    :func:`crash_step_campaign` must change *nothing* — same fired
-    faults, same verdicts — because a single-vCPU schedule has exactly
-    one enabled choice at every decision and the concurrency plane's
-    journal rollback must be observation-equivalent to the sequential
-    whole-monitor snapshot.
+    The determinism guard: handing
+    ``runner="repro.faults.campaign:scheduled_runner"`` to
+    :func:`~repro.engine.campaigns.parallel_crash_step_campaign` must
+    change *nothing* — same fired faults, same verdicts — because a
+    single-vCPU schedule has exactly one enabled choice at every
+    decision and the concurrency plane's journal rollback must be
+    observation-equivalent to the whole-monitor snapshot.
     """
     from repro.concurrency import DeterministicScheduler, Schedule
 
@@ -314,27 +328,6 @@ def run_crash_step_unit(world_factory, calls, index, site, kind, step, *,
         detail=detail, fired_faults=tuple(plane.fired))
 
 
-def crash_step_campaign(world_factory, calls, *,
-                        sites: Sequence[str] = DEFAULT_SITES,
-                        seed=0, runner=None) -> CampaignReport:
-    """Sweep every fault site × every step index of every hypercall.
-
-    ``world_factory() -> (monitor, ctx)`` must be deterministic;
-    ``calls`` is an ordered workload of ``(name, invoke)`` pairs where
-    ``invoke(monitor, ctx)`` performs exactly one hypercall.
-    ``runner``, if given, wraps each *armed* invocation (the fault-free
-    world rebuilding stays direct) — see :func:`scheduled_runner`.
-    """
-    report = CampaignReport(seed=seed)
-    with _trace.span("campaign.crash-step", seed=seed, parallel=False):
-        for index, site, kind, step in crash_step_units(
-                world_factory, calls, sites):
-            report.runs.append(run_crash_step_unit(
-                world_factory, calls, index, site, kind, step,
-                seed=seed, runner=runner))
-    return report
-
-
 # ---------------------------------------------------------------------------
 # Untrusted-memory bit flips
 # ---------------------------------------------------------------------------
@@ -355,8 +348,7 @@ def bitflip_campaign(world_factory, calls=(), *, flips=64,
     rng = random.Random(f"bitflip:{seed}")
     config = monitor.config
     report = CampaignReport(seed=seed)
-    with _trace.span("campaign.bitflip", seed=seed, flips=flips,
-                     parallel=False):
+    with _trace.span("campaign.bitflip", seed=seed, flips=flips):
         _bitflip_sweep(monitor, rng, config, report, flips)
     return report
 
@@ -460,39 +452,6 @@ def _apply_tolerant(state, step):
         return apply_step(state, step).applied
     except SecurityError:
         return None
-
-
-def crash_ni_campaign(two_worlds_factory=None, trace=None, *,
-                      sites: Sequence[str] = DEFAULT_SITES,
-                      observers=None, seed=0) -> CampaignReport:
-    """The crash-step noninterference campaign (on top of Lemmas 5.2-5.4).
-
-    The step-wise lemmas quantify over *completed* transitions; this
-    campaign quantifies over *crashed* ones: for every hypercall step of
-    a two-world trace and every injectable fault site/step index, the
-    same fault is injected into both worlds (identical seeded planes,
-    one per world so hit counting stays symmetric), and the observers
-    must remain unable to distinguish the worlds — right after the
-    rolled-back hypercall and through the whole remaining trace.  A
-    crash that opened a distinguishing channel (partial mutations
-    visible to the host, an asymmetric abort) is a violation.
-    """
-    from repro.hyperenclave.monitor import HOST_ID
-
-    factory = two_worlds_factory or default_two_worlds()
-    worlds_probe, eid = factory()
-    observers = list(observers) if observers is not None else [HOST_ID]
-    if trace is None:
-        trace = default_ni_trace(
-            eid, worlds_probe.a.monitor.config.page_size)
-
-    report = CampaignReport(seed=seed)
-    with _trace.span("campaign.crash-ni", seed=seed, parallel=False):
-        for index in range(len(trace)):
-            report.runs.extend(run_crash_ni_index(
-                factory, trace, index, sites=sites, observers=observers,
-                seed=seed))
-    return report
 
 
 def run_crash_ni_index(two_worlds_factory, trace, index, *,
@@ -840,41 +799,6 @@ class CrashCampaignReport:
                    f"points, {len(self.records)} crashes delivered, "
                    f"{len(self.failures())} failures")
         return table + "\n" + summary
-
-
-def crash_in_critical_section_campaign(monitor_cls=None, *, seed=0,
-                                       config=None) -> CrashCampaignReport:
-    """Kill a vCPU at every yield point inside a critical section.
-
-    This is PR 1's crash model composed with the concurrency plane:
-    first the root schedule runs cleanly and every yield taken while
-    the yielding vCPU held locks is collected; then, for each such
-    ``(vid, yield_index)``, the same schedule re-runs with the crash
-    armed.  The dying vCPU's transactional scope must roll its partial
-    hypercall back and release its locks (a dead vCPU may strand its
-    own work, never a lock), the other vCPU must run to completion, and
-    the final state must pass every invariant family plus the per-vCPU
-    consistency check.
-    """
-    from repro.concurrency import Schedule, result_violations
-    from repro.hyperenclave.monitor import RustMonitor
-    from repro.security.invariants import (
-        check_all_invariants,
-        check_vcpu_consistency,
-    )
-
-    cls = monitor_cls or RustMonitor
-    run_world = make_interleaved_run(monitor_cls, config)
-    _state, baseline = run_world(41, Schedule(seed=seed))
-    points = baseline.critical_yields()
-    report = CrashCampaignReport(monitor=cls.__name__,
-                                 critical_yields=len(points))
-    with _trace.span("campaign.crash-critical-section", seed=seed,
-                     points=len(points), parallel=False):
-        for point in points:
-            report.records.append(crash_point_record(run_world, point,
-                                                     seed=seed))
-    return report
 
 
 def crash_point_record(run_world, point, *, seed=0) -> CrashRecord:

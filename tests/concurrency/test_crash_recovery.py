@@ -1,12 +1,12 @@
 """Crash-in-critical-section recovery: PR 1's crash model composed
 with the concurrency plane."""
 
+import pytest
+
 from repro.concurrency import DeterministicScheduler, Schedule
 from repro.concurrency.shootdown import detect_stale_translations
-from repro.faults import (
-    crash_in_critical_section_campaign,
-    default_concurrent_workloads,
-)
+from repro.engine import parallel_crash_in_critical_section_campaign
+from repro.faults import default_concurrent_workloads
 from repro.hyperenclave.constants import TINY
 from repro.hyperenclave.monitor import RustMonitor
 from repro.security import DataOracle, SystemState, check_all_invariants
@@ -33,22 +33,23 @@ def build_scheduled_world(schedule):
 
 
 class TestFullCampaign:
-    def test_rust_monitor_absorbs_every_crash(self):
-        report = crash_in_critical_section_campaign()
+    @pytest.fixture(scope="class")
+    def report(self):
+        return parallel_crash_in_critical_section_campaign(workers=1)
+
+    def test_rust_monitor_absorbs_every_crash(self, report):
         assert report.critical_yields > 20
         assert len(report.records) == report.critical_yields
         assert report.ok, [str(r.violations[0])
                            for r in report.failures()[:3]]
 
-    def test_crashes_land_on_both_vcpus_and_many_kinds(self):
-        report = crash_in_critical_section_campaign()
+    def test_crashes_land_on_both_vcpus_and_many_kinds(self, report):
         assert {record.vid for record in report.records} == {0, 1}
         kinds = {record.kind for record in report.records}
         assert "phys.write" in kinds
         assert kinds & {"lock.acquire", "shootdown.ipi"}
 
-    def test_render_mentions_every_crash_kind(self):
-        report = crash_in_critical_section_campaign()
+    def test_render_mentions_every_crash_kind(self, report):
         text = report.render()
         for kind in {record.kind for record in report.records}:
             assert kind in text

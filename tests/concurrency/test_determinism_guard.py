@@ -12,12 +12,7 @@ instead of the whole-monitor snapshot.
 
 import pytest
 
-from repro.faults import (
-    crash_step_campaign,
-    default_workload,
-    default_world_factory,
-    scheduled_runner,
-)
+from repro.engine import parallel_crash_step_campaign
 
 
 def record_key(run):
@@ -28,11 +23,9 @@ def record_key(run):
 
 @pytest.fixture(scope="module")
 def campaigns():
-    factory = default_world_factory()
-    calls = default_workload()
-    sequential = crash_step_campaign(factory, calls, seed=0)
-    scheduled = crash_step_campaign(factory, calls, seed=0,
-                                    runner=scheduled_runner)
+    sequential = parallel_crash_step_campaign(seed=0, workers=1)
+    scheduled = parallel_crash_step_campaign(
+        seed=0, runner="repro.faults.campaign:scheduled_runner", workers=1)
     return sequential, scheduled
 
 

@@ -3,12 +3,13 @@
 The fabric's one hard guarantee: for every checking campaign, the
 merged report is **byte-identical** (``repr``-equal, which covers every
 field of every record) at every worker count — shard assignment and
-completion order must not be observable.  The interleaving campaign
-runs on a 2-worker pool and must equal both the in-process
-``workers=1`` run and the committed golden digest, including the
-grids where the planted concurrency bugs fire (violations must merge
-identically, not just clean runs).  The fault campaigns compare the
-pool against their in-process reference drivers.
+completion order must not be observable.  Each campaign runs on a
+2-worker pool and must equal the in-process ``workers=1`` run; where a
+committed golden digest pins the campaign (the interleaving grids, the
+x86 crash-step sweep at the allocator sites, crash-NI, the
+critical-section crashes and the seed-0/1 bit flips) it must equal
+that too, including the grids where the planted concurrency bugs fire
+(violations must merge identically, not just clean runs).
 """
 
 import pytest
@@ -20,16 +21,9 @@ from repro.engine import (
     parallel_crash_step_campaign,
     parallel_interleaving_campaign,
     parallel_pure_check_grid,
-    sequential_pure_check_grid,
 )
-from repro.faults.campaign import (
-    bitflip_campaign,
-    crash_in_critical_section_campaign,
-    crash_ni_campaign,
-    crash_step_campaign,
-    default_workload,
-    default_world_factory,
-)
+from repro.faults.plane import SITE_EPCM_ALLOC, SITE_FRAME_ALLOC
+from repro.hyperenclave.constants import ARCH_CONFIGS
 from tests.test_golden_verdicts import (
     ENTRIES,
     digest,
@@ -37,42 +31,54 @@ from tests.test_golden_verdicts import (
     load_golden,
 )
 
+X86 = ARCH_CONFIGS["x86_64"]
+
+# The x86-64 fault entries of the golden file, as fabric calls that
+# take the executor (the golden thunks themselves run at workers=1).
+FAULT_CAMPAIGNS = {
+    "x86_64/crash-step": lambda **fabric: parallel_crash_step_campaign(
+        factory_args=(X86,), sites=(SITE_FRAME_ALLOC, SITE_EPCM_ALLOC),
+        seed=0, **fabric),
+    "x86_64/crash-ni": lambda **fabric: parallel_crash_ni_campaign(
+        factory_args=(X86,), seed=0, **fabric),
+    "x86_64/crash-critical-section":
+        lambda **fabric: parallel_crash_in_critical_section_campaign(
+            seed=0, config=X86, **fabric),
+    "x86_64/bitflip:0": lambda **fabric: parallel_bitflip_campaigns(
+        (0,), factory_args=(X86,), **fabric)[0],
+    "x86_64/bitflip:1": lambda **fabric: parallel_bitflip_campaigns(
+        (1,), factory_args=(X86,), **fabric)[0],
+}
+
+
+def _assert_golden(sharded, name):
+    """``sharded`` equals the entry's in-process run and its digest."""
+    assert repr(sharded) == repr(golden_result(name))
+    assert digest(sharded) == load_golden()[name]
+
 
 @pytest.mark.parametrize("name", [
     "x86_64/interleaving/clean", "x86_64/interleaving/missing-lock",
     "x86_64/interleaving/no-shootdown", "x86_64/interleaving/crash-1-3"])
 def test_interleaving_equivalence(pool, name):
     sharded = ENTRIES[name](executor=pool)
-    assert repr(sharded) == repr(golden_result(name))
-    assert digest(sharded) == load_golden()[name]
+    _assert_golden(sharded, name)
     assert sharded.ok == name.endswith(("clean", "crash-1-3"))
 
 
-def test_crash_step_equivalence(pool):
-    seq = crash_step_campaign(default_world_factory(),
-                              default_workload())
+@pytest.mark.parametrize("name", sorted(FAULT_CAMPAIGNS))
+def test_fault_campaign_equivalence(pool, name):
+    sharded = FAULT_CAMPAIGNS[name](executor=pool)
+    _assert_golden(sharded, name)
+    assert sharded.ok
+
+
+def test_crash_step_all_sites_equivalence(pool):
+    """Every default site (per-word phys writes included), which no
+    golden entry pins: the pool against the in-process run."""
+    one = parallel_crash_step_campaign(workers=1)
     par = parallel_crash_step_campaign(executor=pool)
-    assert seq.runs and repr(par) == repr(seq)
-
-
-def test_bitflip_equivalence(pool):
-    factory = default_world_factory()
-    seeds = [0, 1, 2]
-    seq = [bitflip_campaign(factory, flips=24, seed=s) for s in seeds]
-    par = parallel_bitflip_campaigns(seeds, flips=24, executor=pool)
-    assert repr(par) == repr(seq)
-
-
-def test_crash_ni_equivalence(pool):
-    seq = crash_ni_campaign()
-    par = parallel_crash_ni_campaign(executor=pool)
-    assert seq.runs and repr(par) == repr(seq)
-
-
-def test_crash_in_critical_section_equivalence(pool):
-    seq = crash_in_critical_section_campaign()
-    par = parallel_crash_in_critical_section_campaign(executor=pool)
-    assert seq.records and repr(par) == repr(seq)
+    assert one.runs and repr(par) == repr(one)
 
 
 def test_pure_check_grid_equivalence(pool):
@@ -81,10 +87,10 @@ def test_pure_check_grid_equivalence(pool):
              "align_page_down"]
     kw = dict(total_steps=4000, seed=7, sample_count=32,
               fake_clock=True)
-    seq = sequential_pure_check_grid(names, **kw)
+    one = parallel_pure_check_grid(names, **kw, workers=1)
     par = parallel_pure_check_grid(names, **kw, executor=pool)
-    assert [r.name for r in seq] == names
-    assert repr(par) == repr(seq)
+    assert [r.name for r in one] == names
+    assert repr(par) == repr(one)
 
 
 def test_stats_out_reports_worker_memoisation(pool):

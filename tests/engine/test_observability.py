@@ -17,11 +17,7 @@ Three fabric-level observability contracts:
 import pytest
 
 from repro import fastpath
-from repro.engine import (
-    ShardedExecutor,
-    parallel_pure_check_grid,
-    sequential_pure_check_grid,
-)
+from repro.engine import ShardedExecutor, parallel_pure_check_grid
 from repro.engine.executor import WORKERS_ENV, resolve_workers
 from repro.errors import ConfigError, ReproError
 from repro.obs import trace as trace_mod
@@ -86,7 +82,7 @@ class TestWorkerStatsShipping:
         with fastpath.disabled():
             clear_solver_caches()
             before = solver_stats()
-            seq = sequential_pure_check_grid(NAMES, **grid)
+            seq = parallel_pure_check_grid(NAMES, **grid, workers=1)
             seq_delta = stats_delta(before)
 
             clear_solver_caches()

@@ -47,13 +47,13 @@ def tree():
 def _both(tree_kwargs=None, **grid):
     """One campaign through a fresh tree and one through the legacy
     path; returns (cached_repr, legacy_repr, tree, counter_delta)."""
-    reset_process_tree(SnapshotTree(**(tree_kwargs or {})))
+    installed = SnapshotTree(**(tree_kwargs or {}))
+    reset_process_tree(installed)
     try:
         before = REGISTRY.snapshot()
         cached = parallel_interleaving_campaign(prefix_cache=True,
                                                 **grid)
         delta = REGISTRY.delta(before)["counters"]
-        installed = process_tree()
         legacy = parallel_interleaving_campaign(prefix_cache=False,
                                                 **grid)
         return repr(cached), repr(legacy), installed, delta
@@ -119,6 +119,16 @@ def test_ni_worlds_restore_byte_identically(tree):
     cached = parallel_interleaving_campaign(prefix_cache=True, **grid)
     legacy = parallel_interleaving_campaign(prefix_cache=False, **grid)
     assert repr(cached) == repr(legacy)
+
+
+def test_in_process_campaign_leaves_no_tree(tree):
+    """Closing an in-process executor drops the process tree, so a
+    long-lived process keeps no finished campaign's nodes resident."""
+    parallel_interleaving_campaign(prefix_cache=True, seed=0,
+                                   preemption_bound=1, **GRID)
+    assert tree.bytes_resident > 0, "the campaign must have captured"
+    assert process_tree() is not tree
+    assert process_tree().bytes_resident == 0
 
 
 def test_counters_surface_in_render_metrics(tree):

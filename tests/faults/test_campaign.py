@@ -1,12 +1,18 @@
-"""Campaign drivers: step enumeration, crash sweeps, bit flips, crash-NI."""
+"""Fault campaigns: step enumeration, crash sweeps, bit flips, crash-NI.
+
+Every campaign runs through its :mod:`repro.engine.campaigns` driver at
+``workers=1`` (in-process), the sequential form of every campaign.
+"""
 
 import pytest
 
+from repro.engine import (
+    parallel_bitflip_campaigns,
+    parallel_crash_ni_campaign,
+    parallel_crash_step_campaign,
+)
 from repro.faults import (
     DEFAULT_SITES,
-    bitflip_campaign,
-    crash_ni_campaign,
-    crash_step_campaign,
     default_ni_trace,
     default_two_worlds,
     default_workload,
@@ -19,23 +25,13 @@ from repro.hyperenclave.constants import TINY
 
 FACTORY = default_world_factory()
 CALLS = default_workload()
+CREATE_ADD = "repro.faults.campaign:create_add_workload"
 
 
-def buggy_world_factory():
-    def world():
-        monitor = NonTransactionalMonitor(TINY)
-        primary_os = monitor.primary_os
-        page = TINY.page_size
-        ctx = {
-            "page": page,
-            "mbuf_pa": TINY.frame_base(primary_os.reserve_data_frame()),
-            "src_pa": TINY.frame_base(primary_os.reserve_data_frame()),
-            "elrange_base": 16 * page,
-        }
-        primary_os.gpa_write_word(ctx["src_pa"], 0xDEAD)
-        return monitor, ctx
-
-    return world
+def bitflips(seed, flips):
+    """One seeded bit-flip campaign next to a live enclave page."""
+    return parallel_bitflip_campaigns((seed,), workload=CREATE_ADD,
+                                      flips=flips, workers=1)[0]
 
 
 class TestEnumerateInjectableSteps:
@@ -57,8 +53,11 @@ class TestEnumerateInjectableSteps:
 
 
 class TestCrashStepCampaign:
-    def test_full_sweep_is_green_on_real_monitor(self):
-        report = crash_step_campaign(FACTORY, CALLS, seed=0)
+    @pytest.fixture(scope="class")
+    def report(self):
+        return parallel_crash_step_campaign(seed=0, workers=1)
+
+    def test_full_sweep_is_green_on_real_monitor(self, report):
         assert report.ok, report.render()
         assert report.faults_injected == len(report.runs)
         assert report.rollbacks_verified == report.faults_injected
@@ -67,16 +66,16 @@ class TestCrashStepCampaign:
         swept = {run.hypercall for run in report.runs}
         assert swept == {name for name, _ in CALLS}
 
-    def test_every_enumerated_step_is_swept(self):
+    def test_every_enumerated_step_is_swept(self, report):
         table = enumerate_injectable_steps(FACTORY, CALLS)
         expected = sum(hits for per_call in table
                        for hits in per_call.values())
-        report = crash_step_campaign(FACTORY, CALLS, seed=0)
         assert len(report.runs) == expected
 
     def test_non_transactional_monitor_is_caught(self):
-        report = crash_step_campaign(buggy_world_factory(),
-                                     CALLS[:2], seed=0)
+        report = parallel_crash_step_campaign(
+            workload=CREATE_ADD, factory_args=(None, NonTransactionalMonitor),
+            seed=0, workers=1)
         failures = report.failures()
         assert failures, "the broken monitor must not pass the campaign"
         # The signature: aborts whose partial mutations survived, or
@@ -85,8 +84,7 @@ class TestCrashStepCampaign:
                    or (run.outcome == "aborted" and not run.rolled_back)
                    for run in failures)
 
-    def test_render_mentions_summary_numbers(self):
-        report = crash_step_campaign(FACTORY, CALLS[:1], seed=0)
+    def test_render_mentions_summary_numbers(self, report):
         text = report.render()
         assert "faults injected" in text
         assert "rollbacks verified" in text
@@ -95,17 +93,17 @@ class TestCrashStepCampaign:
 
 class TestBitflipCampaign:
     def test_untrusted_flips_leave_invariants_green(self):
-        report = bitflip_campaign(FACTORY, CALLS[:5], flips=32, seed=0)
+        report = bitflips(0, flips=32)
         assert report.ok, report.render()
         assert len(report.runs) == 32
         assert report.invariant_sweeps_passed == 32
 
     def test_flips_are_seed_deterministic(self):
-        first = bitflip_campaign(FACTORY, CALLS[:2], flips=8, seed=3)
-        second = bitflip_campaign(FACTORY, CALLS[:2], flips=8, seed=3)
+        first = bitflips(3, flips=8)
+        second = bitflips(3, flips=8)
         assert [run.detail for run in first.runs] == \
             [run.detail for run in second.runs]
-        third = bitflip_campaign(FACTORY, CALLS[:2], flips=8, seed=4)
+        third = bitflips(4, flips=8)
         assert [run.detail for run in first.runs] != \
             [run.detail for run in third.runs]
 
@@ -113,7 +111,7 @@ class TestBitflipCampaign:
 class TestCrashNiCampaign:
     @pytest.fixture(scope="class")
     def report(self):
-        return crash_ni_campaign(seed=0)
+        return parallel_crash_ni_campaign(seed=0, workers=1)
 
     def test_all_crash_steps_preserve_indistinguishability(self, report):
         assert report.ok, report.render(

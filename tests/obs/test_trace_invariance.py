@@ -7,23 +7,20 @@ pass schema validation, so "the tracer broke nothing" and "the tracer
 recorded something coherent" are checked together.
 """
 
-from repro.engine.campaigns import parallel_interleaving_campaign
-from repro.faults.campaign import (
-    crash_step_campaign,
-    default_workload,
-    default_world_factory,
+from repro.engine.campaigns import (
+    parallel_crash_step_campaign,
+    parallel_interleaving_campaign,
 )
 from repro.obs import trace as trace_mod
+from repro.symbolic.solver import clear_solver_caches
 
 
 def test_crash_step_campaign_verdicts_unchanged(tmp_path):
     sites = ("epcm.allocate", "frame.alloc")
-    baseline = crash_step_campaign(default_world_factory(),
-                                   default_workload(), sites=sites)
+    baseline = parallel_crash_step_campaign(sites=sites, workers=1)
     path = str(tmp_path / "trace.jsonl")
     with trace_mod.installed(trace_mod.Tracer(jsonl=path)) as tracer:
-        traced = crash_step_campaign(default_world_factory(),
-                                     default_workload(), sites=sites)
+        traced = parallel_crash_step_campaign(sites=sites, workers=1)
         tracer.close()
     assert repr(traced) == repr(baseline)
     assert trace_mod.validate_jsonl(path) > 0
@@ -54,7 +51,11 @@ def test_pure_check_verdicts_unchanged(model):
         # Frozen clock: budget_spent["seconds"] is wall-clock and would
         # differ between any two runs, traced or not.
         kwargs = dict(kwargs, clock=lambda: 0.0)
+        # Both runs start from cold solver caches: a memo warmed by the
+        # baseline would change the traced report's solver stats.
+        clear_solver_caches()
         baseline = check_pure_hardened(model, name, **kwargs)
+        clear_solver_caches()
         with trace_mod.installed(trace_mod.Tracer()) as tracer:
             traced = check_pure_hardened(model, name, **kwargs)
         assert repr(traced) == repr(baseline)
@@ -72,8 +73,7 @@ def test_parallel_campaign_traced_report_identical():
     from repro.engine import ShardedExecutor, parallel_crash_step_campaign
 
     sites = ("epcm.allocate",)
-    baseline = crash_step_campaign(default_world_factory(),
-                                   default_workload(), sites=sites)
+    baseline = parallel_crash_step_campaign(sites=sites, workers=1)
     # The pool must fork *inside* the installed block so workers
     # inherit the tracing flag.
     with trace_mod.installed(trace_mod.Tracer()) as tracer:
