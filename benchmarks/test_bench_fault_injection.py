@@ -37,7 +37,7 @@ def test_bench_fault_campaign(emit):
 
     started = time.perf_counter()
     flips = parallel_bitflip_campaigns(
-        (0,), workload="repro.faults.campaign:create_add_workload",
+        (0,), workload="repro.faults.campaign:initialized_workload",
         flips=64, workers=1)[0]
     flip_secs = time.perf_counter() - started
 

@@ -72,7 +72,7 @@ def main():
 
     # ---- 4. untrusted bit flips ---------------------------------------
     flips = parallel_bitflip_campaigns(
-        (0,), workload="repro.faults.campaign:create_add_workload",
+        (0,), workload="repro.faults.campaign:initialized_workload",
         flips=32, workers=1)[0]
     print(f"\nbit flips in untrusted memory: "
           f"{flips.invariant_sweeps_passed}/{len(flips.runs)} invariant "

@@ -49,6 +49,7 @@ from repro.faults.campaign import (
     enumerate_injectable_steps,
     execute_interleaved,
     hypercall_site,
+    initialized_workload,
     make_interleaved_run,
     run_crash_ni_index,
     run_crash_step_unit,
@@ -89,6 +90,7 @@ __all__ = [
     "enumerate_injectable_steps",
     "execute_interleaved",
     "hypercall_site",
+    "initialized_workload",
     "make_interleaved_run",
     "run_crash_ni_index",
     "run_crash_step_unit",

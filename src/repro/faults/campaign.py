@@ -219,6 +219,14 @@ def create_add_workload() -> List[Tuple[str, Callable]]:
     return default_workload()[:2]
 
 
+def initialized_workload() -> List[Tuple[str, Callable]]:
+    """create, add_page, remove_page, add_page, init: the first five
+    calls of :func:`default_workload`, leaving an initialized enclave
+    whose page slot was freed and refilled for bit flips to land
+    next to."""
+    return default_workload()[:5]
+
+
 def _world_at(world_factory, calls, upto):
     """A fresh world with ``calls[:upto]`` already applied cleanly."""
     monitor, ctx = world_factory()

@@ -16,13 +16,11 @@ import pytest
 
 from repro.engine import (
     parallel_bitflip_campaigns,
-    parallel_crash_in_critical_section_campaign,
-    parallel_crash_ni_campaign,
     parallel_crash_step_campaign,
     parallel_interleaving_campaign,
     parallel_pure_check_grid,
 )
-from repro.faults.plane import SITE_EPCM_ALLOC, SITE_FRAME_ALLOC
+from repro.engine.executor import stable_shard
 from repro.hyperenclave.constants import ARCH_CONFIGS
 from tests.test_golden_verdicts import (
     ENTRIES,
@@ -30,25 +28,6 @@ from tests.test_golden_verdicts import (
     golden_result,
     load_golden,
 )
-
-X86 = ARCH_CONFIGS["x86_64"]
-
-# The x86-64 fault entries of the golden file, as fabric calls that
-# take the executor (the golden thunks themselves run at workers=1).
-FAULT_CAMPAIGNS = {
-    "x86_64/crash-step": lambda **fabric: parallel_crash_step_campaign(
-        factory_args=(X86,), sites=(SITE_FRAME_ALLOC, SITE_EPCM_ALLOC),
-        seed=0, **fabric),
-    "x86_64/crash-ni": lambda **fabric: parallel_crash_ni_campaign(
-        factory_args=(X86,), seed=0, **fabric),
-    "x86_64/crash-critical-section":
-        lambda **fabric: parallel_crash_in_critical_section_campaign(
-            seed=0, config=X86, **fabric),
-    "x86_64/bitflip:0": lambda **fabric: parallel_bitflip_campaigns(
-        (0,), factory_args=(X86,), **fabric)[0],
-    "x86_64/bitflip:1": lambda **fabric: parallel_bitflip_campaigns(
-        (1,), factory_args=(X86,), **fabric)[0],
-}
 
 
 def _assert_golden(sharded, name):
@@ -66,11 +45,30 @@ def test_interleaving_equivalence(pool, name):
     assert sharded.ok == name.endswith(("clean", "crash-1-3"))
 
 
-@pytest.mark.parametrize("name", sorted(FAULT_CAMPAIGNS))
+@pytest.mark.parametrize("name", [
+    "x86_64/crash-step", "x86_64/crash-ni",
+    "x86_64/crash-critical-section"])
 def test_fault_campaign_equivalence(pool, name):
-    sharded = FAULT_CAMPAIGNS[name](executor=pool)
+    sharded = ENTRIES[name](executor=pool)
     _assert_golden(sharded, name)
     assert sharded.ok
+
+
+def test_bitflip_equivalence(pool):
+    """Several seeds in one map, spread over both workers: the merge
+    must put the per-seed reports back in seed order."""
+    seeds = (0, 1, 2)
+    assert len({stable_shard(f"repro.engine.workers:run_bitflip_unit"
+                             f"\x1f{s}", pool.workers)
+                for s in seeds}) == pool.workers
+    x86 = (ARCH_CONFIGS["x86_64"],)
+    par = parallel_bitflip_campaigns(seeds, factory_args=x86,
+                                     executor=pool)
+    one = parallel_bitflip_campaigns(seeds, factory_args=x86, workers=1)
+    assert repr(par) == repr(one)
+    for seed in (0, 1):
+        _assert_golden(par[seed], f"x86_64/bitflip:{seed}")
+    assert all(report.ok for report in par)
 
 
 def test_crash_step_all_sites_equivalence(pool):

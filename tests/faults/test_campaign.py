@@ -26,11 +26,12 @@ from repro.hyperenclave.constants import TINY
 FACTORY = default_world_factory()
 CALLS = default_workload()
 CREATE_ADD = "repro.faults.campaign:create_add_workload"
+INITIALIZED = "repro.faults.campaign:initialized_workload"
 
 
-def bitflips(seed, flips):
-    """One seeded bit-flip campaign next to a live enclave page."""
-    return parallel_bitflip_campaigns((seed,), workload=CREATE_ADD,
+def bitflips(seed, flips, workload):
+    """One seeded bit-flip campaign after ``workload``'s calls."""
+    return parallel_bitflip_campaigns((seed,), workload=workload,
                                       flips=flips, workers=1)[0]
 
 
@@ -93,17 +94,17 @@ class TestCrashStepCampaign:
 
 class TestBitflipCampaign:
     def test_untrusted_flips_leave_invariants_green(self):
-        report = bitflips(0, flips=32)
+        report = bitflips(0, flips=32, workload=INITIALIZED)
         assert report.ok, report.render()
         assert len(report.runs) == 32
         assert report.invariant_sweeps_passed == 32
 
     def test_flips_are_seed_deterministic(self):
-        first = bitflips(3, flips=8)
-        second = bitflips(3, flips=8)
+        first = bitflips(3, flips=8, workload=CREATE_ADD)
+        second = bitflips(3, flips=8, workload=CREATE_ADD)
         assert [run.detail for run in first.runs] == \
             [run.detail for run in second.runs]
-        third = bitflips(4, flips=8)
+        third = bitflips(4, flips=8, workload=CREATE_ADD)
         assert [run.detail for run in first.runs] != \
             [run.detail for run in third.runs]
 

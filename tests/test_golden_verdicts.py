@@ -74,23 +74,24 @@ def _crash_schedule(crash):
     return result, state_fingerprint(state)
 
 
-def _faults(arch, kind):
+def _faults(arch, kind, **fabric):
     from repro.engine import campaigns
     from repro.faults.plane import SITE_EPCM_ALLOC, SITE_FRAME_ALLOC
     config = _config(arch)
     if kind == "crash-step":
         return campaigns.parallel_crash_step_campaign(
             factory_args=(config,),
-            sites=(SITE_FRAME_ALLOC, SITE_EPCM_ALLOC), seed=0, workers=1)
+            sites=(SITE_FRAME_ALLOC, SITE_EPCM_ALLOC), seed=0, workers=1,
+            **fabric)
     if kind == "crash-ni":
         return campaigns.parallel_crash_ni_campaign(
-            factory_args=(config,), seed=0, workers=1)
+            factory_args=(config,), seed=0, workers=1, **fabric)
     if kind == "crash-critical-section":
         return campaigns.parallel_crash_in_critical_section_campaign(
-            seed=0, config=config, workers=1)
+            seed=0, config=config, workers=1, **fabric)
     flip_seed = int(kind.split(":")[1])
     return campaigns.parallel_bitflip_campaigns(
-        (flip_seed,), factory_args=(config,), workers=1)[0]
+        (flip_seed,), factory_args=(config,), workers=1, **fabric)[0]
 
 
 @functools.lru_cache(maxsize=None)
