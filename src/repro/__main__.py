@@ -124,10 +124,13 @@ def campaign_main(argv):
                              "re-run")
     parser.add_argument("--workers", type=int, default=None)
     options = parser.parse_args(argv)
-    spec = CampaignSpec(monitor=options.monitor, seed=options.seed,
-                        preemption_bound=options.preemption_bound,
-                        max_schedules=options.max_schedules,
-                        check_ni=not options.no_ni)
+    try:
+        spec = CampaignSpec(monitor=options.monitor, seed=options.seed,
+                            preemption_bound=options.preemption_bound,
+                            max_schedules=options.max_schedules,
+                            check_ni=not options.no_ni)
+    except ValueError as exc:
+        parser.error(str(exc))
     try:
         with CampaignStore(options.store) as store:
             result = run_durable_campaign(spec, store,

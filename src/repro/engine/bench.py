@@ -36,19 +36,12 @@ Run as a module for the CI perf-smoke job::
     python -m repro.engine.bench --symbolic --out BENCH_symbolic.json
     python -m repro.engine.bench --durability --out BENCH_checking.json
     python -m repro.engine.bench --service --out BENCH_checking.json
-    python -m repro.engine.bench --prefix-cache --out BENCH_checking.json
 
 :func:`bench_durability` prices the durable orchestrator
 (:mod:`repro.service`): per-wave checkpoint overhead vs the plain
 fabric (acceptance bar ≤5%), the warm cross-run memo store, and the
 cost of resuming an interrupted campaign — merged into
 ``BENCH_checking.json`` under the ``durability`` key.
-
-:func:`bench_prefix_cache` prices the snapshot-tree execution cache
-(:mod:`repro.concurrency.snapshot`): the interleaving campaign with the
-cache on vs off at each preemption bound (repr-identical results
-required), with the hit-rate / steps-saved / bytes-resident counters —
-merged into ``BENCH_checking.json`` under the ``prefix_cache`` key.
 
 :func:`bench_service` prices checking-as-a-service: 2/4/8 concurrent
 campaigns through the fair-share scheduler vs a sequential loop of
@@ -107,26 +100,23 @@ def _memo_summary(stats):
 def _cold_campaign(grid, workers, stats_out=None):
     """One interleaving campaign from a cold start: fresh worker memo,
     empty snapshot tree, fresh pool (so forked workers inherit no warm
-    state either).  Returns ``(result, seconds, metrics delta)``.  The
-    caller restores ``repro.engine.workers.MEMO`` afterwards."""
+    state either).  Returns ``(result, seconds)``.  The caller restores
+    ``repro.engine.workers.MEMO`` afterwards."""
     import gc
 
     from repro.concurrency.snapshot import reset_process_tree
     from repro.engine import workers as worker_module
     from repro.engine.executor import ShardedExecutor
     from repro.engine.memo import CheckMemo
-    from repro.obs.metrics import REGISTRY
 
     worker_module.MEMO = CheckMemo()
     reset_process_tree()
     gc.collect()
     with ShardedExecutor(workers) as pool:
-        before = REGISTRY.snapshot()
         t0 = time.perf_counter()
         result = parallel_interleaving_campaign(**grid, executor=pool,
                                                 stats_out=stats_out)
-        seconds = time.perf_counter() - t0
-        return result, seconds, REGISTRY.delta(before)
+        return result, time.perf_counter() - t0
 
 
 def bench_checking(*, preemption_bound=2, max_schedules=600, seed=0,
@@ -164,9 +154,9 @@ def bench_checking(*, preemption_bound=2, max_schedules=600, seed=0,
     original_memo = worker_module.MEMO
     try:
         for _ in range(repeats):
-            one, seconds, _delta = _cold_campaign(grid, 1)
+            one, seconds = _cold_campaign(grid, 1)
             one_times.append(seconds)
-            par, seconds, _delta = _cold_campaign(grid, workers, stats)
+            par, seconds = _cold_campaign(grid, workers, stats)
             par_times.append(seconds)
             if repr(par) != repr(one):
                 raise RuntimeError(
@@ -175,7 +165,7 @@ def bench_checking(*, preemption_bound=2, max_schedules=600, seed=0,
             baseline = one
             if trace_overhead:
                 with _trace.installed(_trace.Tracer()) as tracer:
-                    traced, seconds, _delta = _cold_campaign(grid, 1)
+                    traced, seconds = _cold_campaign(grid, 1)
                     traced_times.append(seconds)
                 trace_records = len(tracer.records)
                 if repr(traced) != repr(one):
@@ -263,7 +253,7 @@ def bench_durability(*, preemption_bound=2, max_schedules=600, seed=0,
 
     workers = resolve_workers(workers)
     grid = dict(preemption_bound=preemption_bound,
-                max_schedules=max_schedules, seed=seed, config=config)
+                max_schedules=max_schedules, seed=seed)
     spec = CampaignSpec(**grid)
     root = tempfile.mkdtemp(prefix="bench-durability.", dir=tmp_root)
     plain_times, durable_times, warm_times = [], [], []
@@ -396,7 +386,7 @@ def bench_durability(*, preemption_bound=2, max_schedules=600, seed=0,
         "config": {"preemption_bound": preemption_bound,
                    "max_schedules": max_schedules, "seed": seed,
                    "workers": workers, "repeats": repeats,
-                   "arch": _arch_name(config),
+                   "arch": _arch_name(None),
                    **_engine_config()},
         "plain": {"seconds_per_repeat": [round(t, 4)
                                          for t in plain_times],
@@ -572,101 +562,6 @@ def bench_service(*, preemption_bound=2, max_schedules=240, seed=0,
             "overhead_ms_per_call": round(
                 (http_s - direct_s) / request_probes * 1000, 4),
         },
-        "byte_identical": True,
-    }
-
-
-def bench_prefix_cache(*, bounds=(2, 3), max_schedules=600, seed=0,
-                       workers=None, repeats=3) -> dict:
-    """Price the snapshot-tree execution cache against the plain fabric.
-
-    For each preemption bound the same interleaving campaign runs with
-    the prefix cache off (every schedule from a fresh world clone) and
-    on (schedules restore their deepest cached ancestor and execute
-    only the suffix), gated on repr-identity — a cache that changed a single
-    verdict, decision, or trace byte would disqualify itself.  The
-    record carries the median speedup per bound plus the
-    ``snapshot_cache`` counters that explain it: hit rate, suffix steps
-    saved, COW structure shares, evictions, and resident bytes.
-
-    Every run starts cold: the worker memo is reset, and each variant
-    gets a *fresh* executor pool, so the cached side's workers fork
-    with empty snapshot trees and the measurement is intra-campaign
-    prefix sharing, not warm-pool carry-over.  (In-process pools share
-    the parent's tree, so it is reset explicitly too.)
-    """
-    from repro.concurrency.snapshot import reset_process_tree
-    from repro.engine import workers as worker_module
-
-    workers = resolve_workers(workers)
-    original_memo = worker_module.MEMO
-
-    def cold_run(bound, use_cache):
-        return _cold_campaign(
-            dict(preemption_bound=bound, max_schedules=max_schedules,
-                 seed=seed, prefix_cache=use_cache), workers)
-
-    per_bound = {}
-    try:
-        for bound in bounds:
-            off_times, on_times = [], []
-            counters = {}
-            bytes_resident = 0
-            schedules = states = 0
-            for _ in range(repeats):
-                off, seconds, _delta = cold_run(bound, False)
-                off_times.append(seconds)
-                off_repr = repr(off)
-                schedules = len(off.runs)
-                states = sum(len(r.decisions) for _, r in off.runs)
-                off = None
-
-                on, seconds, delta = cold_run(bound, True)
-                on_times.append(seconds)
-                if repr(on) != off_repr:
-                    raise RuntimeError(
-                        f"prefix-cached campaign diverged from the "
-                        f"plain fabric at preemption bound {bound}")
-                on = None
-                for name, value in delta["counters"].items():
-                    if name.startswith("snapshot_cache."):
-                        key = name[len("snapshot_cache."):]
-                        counters[key] = counters.get(key, 0) + value
-                bytes_resident = max(
-                    bytes_resident,
-                    delta["gauges"].get("snapshot_cache.bytes_resident",
-                                        0))
-            off_s = statistics.median(off_times)
-            on_s = statistics.median(on_times)
-            hits = counters.get("hits", 0)
-            lookups = hits + counters.get("misses", 0)
-            per_bound[str(bound)] = {
-                "preemption_bound": bound,
-                "schedules": schedules,
-                "states": states,
-                "off": {"seconds_per_repeat": [round(t, 4)
-                                               for t in off_times],
-                        "seconds": round(off_s, 4)},
-                "on": {"seconds_per_repeat": [round(t, 4)
-                                              for t in on_times],
-                       "seconds": round(on_s, 4)},
-                "speedup": round(off_s / on_s, 2),
-                "hit_rate": round(hits / lookups, 4) if lookups else 0.0,
-                "counters": counters,
-                "bytes_resident": int(bytes_resident),
-                "byte_identical": True,
-            }
-    finally:
-        worker_module.MEMO = original_memo
-        reset_process_tree()
-
-    return {
-        "benchmark": "prefix-cache",
-        "config": {"bounds": list(bounds),
-                   "max_schedules": max_schedules, "seed": seed,
-                   "workers": workers, "repeats": repeats,
-                   **_engine_config()},
-        "bounds": per_bound,
         "byte_identical": True,
     }
 
@@ -887,8 +782,8 @@ def _merged_out(path, section, record) -> dict:
     """Write ``record`` into ``path``, preserving the other sections.
 
     ``BENCH_checking.json`` holds the fabric record (the top-level
-    document) plus the per-subsystem records (the ``durability``,
-    ``service``, and ``prefix_cache`` keys); any of the benches may run
+    document) plus the per-subsystem records (the ``durability`` and
+    ``service`` keys); any of the benches may run
     alone, so each write keeps whatever the others last produced.
     With ``section`` the record lands under that key; with
     ``section=None`` it becomes the new document, carrying over every
@@ -957,11 +852,6 @@ def main(argv=None):
                              "scheduler vs a sequential loop, plus "
                              "the HTTP request-path cost) and merge "
                              "the section into --out")
-    parser.add_argument("--prefix-cache", action="store_true",
-                        help="measure the snapshot-tree execution "
-                             "cache (campaign with the cache on vs "
-                             "off per preemption bound) and merge the "
-                             "section into --out")
     parser.add_argument("--preemption-bound", type=int, default=2)
     parser.add_argument("--max-schedules", type=int, default=600)
     parser.add_argument("--workers", type=int, default=None)
@@ -993,8 +883,7 @@ def main(argv=None):
         if args.arch not in ARCH_CONFIGS:
             parser.error(f"unknown --arch {args.arch!r} "
                          f"(choose from {sorted(ARCH_CONFIGS)})")
-        if (args.symbolic or args.durability or args.service
-                or args.prefix_cache):
+        if args.symbolic or args.durability or args.service:
             parser.error("--arch only applies to the checking-fabric "
                          "bench")
         arch_config = ARCH_CONFIGS[args.arch]
@@ -1051,24 +940,6 @@ def main(argv=None):
               f"{record['resume']['schedules_total']} schedules "
               f"preserved)  verdict cache "
               f"{record['verdict_cache']['speedup']}x warm")
-        return merged
-
-    if args.prefix_cache:
-        bounds = (1,) if args.smoke else (2, 3)
-        record = bench_prefix_cache(bounds=bounds,
-                                    max_schedules=args.max_schedules,
-                                    workers=args.workers,
-                                    repeats=args.repeats)
-        merged = _merged_out(out, "prefix_cache", record)
-        print("  ".join(
-            f"bound={entry['preemption_bound']} "
-            f"off {entry['off']['seconds']}s on "
-            f"{entry['on']['seconds']}s "
-            f"speedup {entry['speedup']}x "
-            f"(hit rate {entry['hit_rate']}, "
-            f"{entry['counters'].get('steps_saved', 0)} steps saved, "
-            f"{entry['bytes_resident']} bytes resident)"
-            for entry in record["bounds"].values()))
         return merged
 
     if args.service:

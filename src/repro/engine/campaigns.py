@@ -65,12 +65,44 @@ def _publish_stats(stats_out, executor):
 # ---------------------------------------------------------------------------
 
 
+INTERLEAVING_UNIT = "repro.engine.workers:run_interleaving_unit"
+
+
+def interleaving_units(schedules, *, monitor=None, config=None,
+                       check_ni=True, observers=None, key_prefix=""):
+    """The :func:`~repro.engine.workers.run_interleaving_unit` units of
+    ``schedules`` and their shard keys: ``(units, keys)``.
+
+    Every interleaving campaign builds its units here — the fabric
+    sweep, the durable orchestrator, the daemon's chunks and the
+    provenance replayer — so a schedule is checked the same way
+    whichever of them runs it.  ``monitor`` is a ``module:qualname``
+    path (None is :class:`~repro.hyperenclave.monitor.RustMonitor`),
+    ``observers`` defaults to the host.  Keys are prefix-locality keys
+    (:func:`~repro.concurrency.snapshot.locality_key`), so each
+    preemption subtree lands on the worker whose snapshot tree holds
+    its prefix; ``key_prefix`` scopes them (the daemon prefixes the
+    campaign id, so fair-share chunks of different campaigns never
+    share a key space).  Merge order is by unit index, so keys never
+    change a result.
+    """
+    from repro.concurrency.snapshot import locality_key
+    from repro.hyperenclave.monitor import HOST_ID
+
+    watchers = list(observers) if observers is not None else [HOST_ID]
+    schedules = list(schedules)
+    units = [{"schedule": schedule, "monitor": monitor, "config": config,
+              "check_ni": check_ni, "observers": watchers}
+             for schedule in schedules]
+    return units, [key_prefix + locality_key(s) for s in schedules]
+
+
 def parallel_interleaving_campaign(monitor_cls=None, *,
                                    preemption_bound=2, max_schedules=600,
                                    seed=0, check_ni=True, crash=None,
                                    config=None, observers=None,
                                    workers=None, executor=None,
-                                   stats_out=None, prefix_cache=None):
+                                   stats_out=None):
     """The systematic interleaving sweep — the concurrency tentpole.
 
     Bounded-preemption exploration over the racing-vCPU workload, one
@@ -86,35 +118,23 @@ def parallel_interleaving_campaign(monitor_cls=None, *,
     violation carries its replayable ``(seed, schedule)``, and the
     result is byte-identical at every worker count.
 
-    ``prefix_cache`` toggles the snapshot-tree execution cache in the
-    workers (None resolves ``REPRO_PREFIX_CACHE``; default on).  With
-    the cache on, shard keys become prefix-locality keys so each
-    preemption subtree lands on one worker; merge order is by unit
-    index either way, so results are byte-identical on or off.
+    Workers execute schedules through their process-local snapshot
+    trees (:mod:`repro.concurrency.snapshot`); a tree budget of zero
+    (``REPRO_SNAPSHOT_BUDGET_MB=0``) runs every schedule from a fresh
+    world clone to the same bytes.
     """
     from repro.concurrency import explore_batched
-    from repro.concurrency.snapshot import (
-        locality_key,
-        prefix_cache_enabled,
-    )
-    from repro.hyperenclave.monitor import HOST_ID
 
     monitor_path = callable_path(monitor_cls)
-    watchers = list(observers) if observers is not None else [HOST_ID]
-    use_cache = prefix_cache_enabled(prefix_cache)
 
     with _trace.span("campaign.interleaving", seed=seed,
                      preemption_bound=preemption_bound), \
             _executor(executor, workers) as pool:
         def run_batch(schedules):
-            units = [{"schedule": schedule, "monitor": monitor_path,
-                      "config": config, "check_ni": check_ni,
-                      "observers": watchers, "prefix_cache": use_cache}
-                     for schedule in schedules]
-            return pool.map("repro.engine.workers:run_interleaving_unit",
-                            units,
-                            keys=[locality_key(s) if use_cache
-                                  else s.describe() for s in schedules])
+            units, keys = interleaving_units(
+                schedules, monitor=monitor_path, config=config,
+                check_ni=check_ni, observers=observers)
+            return pool.map(INTERLEAVING_UNIT, units, keys=keys)
 
         result = explore_batched(run_batch, seed=seed,
                                  preemption_bound=preemption_bound,

@@ -51,20 +51,14 @@ def _interleaved_prototype(monitor_path, config, secret):
     return _PROTOTYPES[key]
 
 
-def _interleaved_world(monitor_path, config, secret):
-    """A fresh interleaved-campaign world, cloned from a cached
-    prototype (built on first use per worker)."""
-    state, ctx = _interleaved_prototype(monitor_path, config, secret)
-    return state.clone(), dict(ctx)
-
-
 def _interleaved_run_world(monitor_path, config):
-    """A prototype-backed ``run_world(secret, schedule)``."""
+    """A prototype-backed ``run_world(secret, schedule)`` running each
+    schedule from a fresh clone (the crash-point units' path)."""
     from repro.faults.campaign import execute_interleaved
 
     def run_world(secret, schedule):
-        state, ctx = _interleaved_world(monitor_path, config, secret)
-        return execute_interleaved(state, ctx, schedule)
+        state, ctx = _interleaved_prototype(monitor_path, config, secret)
+        return execute_interleaved(state.clone(), dict(ctx), schedule)
 
     return run_world
 
@@ -85,14 +79,6 @@ def _execute_cached(monitor_path, config, secret, schedule):
     return execute_interleaved_cached(state, dict(ctx), schedule,
                                       tree=process_tree(),
                                       world_key=world_key)
-
-
-def _interleaved_run_world_cached(monitor_path, config):
-    """The snapshot-tree flavour of :func:`_interleaved_run_world`."""
-    def run_world(secret, schedule):
-        return _execute_cached(monitor_path, config, secret, schedule)
-
-    return run_world
 
 
 def _world_factory(maker_path, args):
@@ -129,20 +115,13 @@ def run_interleaving_unit(unit):
     :func:`~repro.concurrency.explorer.explore_batched`.
     """
     from repro.engine.fingerprint import structure_fingerprints
-    from repro.faults.campaign import execute_interleaved
     from repro.security.noninterference import (
         check_schedule_noninterference_prepared)
 
     monitor_path = unit.get("monitor")
     config = unit.get("config")
-    use_cache = bool(unit.get("prefix_cache"))
-    if use_cache:
-        state, result = _execute_cached(monitor_path, config, 41,
-                                        unit["schedule"])
-    else:
-        state, ctx = _interleaved_world(monitor_path, config, 41)
-        state, result = execute_interleaved(state, ctx,
-                                            unit["schedule"])
+    state, result = _execute_cached(monitor_path, config, 41,
+                                    unit["schedule"])
     fps = structure_fingerprints(state.monitor)
     findings = []
     report = MEMO.check_invariants(state.monitor, fps)
@@ -152,9 +131,9 @@ def run_interleaving_unit(unit):
     for item in MEMO.check_vcpu(state.monitor, fps):
         findings.append(("vcpu-consistency", item))
     if unit.get("check_ni"):
-        run_world = (_interleaved_run_world_cached(monitor_path, config)
-                     if use_cache
-                     else _interleaved_run_world(monitor_path, config))
+        def run_world(secret, schedule):
+            return _execute_cached(monitor_path, config, secret, schedule)
+
         for violation in check_schedule_noninterference_prepared(
                 state, result, run_world,
                 unit["schedule"], list(unit["observers"]),

@@ -273,18 +273,17 @@ def replay_bundle(bundle: ProvenanceBundle) -> ReplayOutcome:
 
 def _replay_interleaving(bundle) -> ReplayOutcome:
     from repro.concurrency.explorer import result_violations
+    from repro.engine.campaigns import interleaving_units
     from repro.engine.workers import run_interleaving_unit
-    from repro.hyperenclave.monitor import HOST_ID
 
     schedule = _schedule_from_dict(bundle.schedule or {})
-    # The campaign's own per-schedule battery, re-executed from a clean
-    # world (no snapshot restore): the replay checks exactly what the
-    # campaign checked.
-    result, checked = run_interleaving_unit({
-        "schedule": schedule, "monitor": bundle.monitor, "config": None,
-        "check_ni": bundle.check.get("check_ni", True),
-        "observers": list(bundle.check.get("observers", [HOST_ID])),
-        "prefix_cache": False})
+    # The campaign's own unit and per-schedule battery: the replay
+    # checks exactly what the campaign checked, the same way.
+    units, _keys = interleaving_units(
+        [schedule], monitor=bundle.monitor,
+        check_ni=bundle.check.get("check_ni", True),
+        observers=bundle.check.get("observers"))
+    result, checked = run_interleaving_unit(units[0])
     findings = [(v.kind, v.detail)
                 for v in result_violations(schedule, result)] + checked
     expected = (bundle.violation.get("kind"),

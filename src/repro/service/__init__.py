@@ -14,13 +14,14 @@ run through the orchestrator is crash-safe end to end:
   exponential backoff + deterministic jitter, and a poison shard is
   quarantined as a typed :class:`~repro.errors.ShardQuarantined`
   result instead of sinking the campaign;
-* :mod:`repro.service.orchestrator` — checkpoint-per-wave campaign
-  execution whose resumed verdict is repr-identical to an
-  uninterrupted run, plus warm cross-run memo reuse
-  (``python -m repro campaign`` / ``python -m repro resume``);
-* :mod:`repro.service.scheduler` — fair-share wavefront interleaving
-  of many campaigns over one shared pool, with admission control,
-  budgets, work stealing, and graceful drain;
+* :mod:`repro.service.orchestrator` — the one durable campaign driver
+  (:class:`~repro.service.orchestrator.DurableCampaign`): checkpointed
+  chunks whose resumed verdict is repr-identical to an uninterrupted
+  run, plus warm cross-run memo reuse (``python -m repro campaign`` /
+  ``python -m repro resume`` run it a whole wave at a time);
+* :mod:`repro.service.scheduler` — fair-share chunks of many durable
+  campaigns over one shared pool, with admission control, budgets,
+  work stealing, and graceful drain;
 * :mod:`repro.service.daemon` / :mod:`repro.service.client` — the
   checking-as-a-service HTTP/JSON front and its deadline-aware client
   (``python -m repro serve`` / ``submit`` / ``status``).
@@ -30,6 +31,7 @@ from repro.service.checkpoint import CampaignCheckpoint
 from repro.service.orchestrator import (
     CampaignSpec,
     CampaignStore,
+    DurableCampaign,
     resume_campaign,
     run_durable_campaign,
 )
@@ -43,6 +45,7 @@ __all__ = [
     "CampaignScheduler",
     "CampaignSpec",
     "CampaignStore",
+    "DurableCampaign",
     "MemoStore",
     "ResilientExecutor",
     "atomic_write",

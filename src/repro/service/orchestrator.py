@@ -12,6 +12,14 @@ explorer runs on, the resumed campaign's
 repr-identical to an uninterrupted run (property-tested by killing at
 randomized checkpoints in ``tests/service/``).
 
+One driver, :class:`DurableCampaign`, owns that loop: spec-digest
+check, frontier start or resume, memo warm-up, unit building,
+quarantine, absorb and checkpoint commit.  Two schedulers of chunks
+drive it — :func:`run_durable_campaign` with whole wavefronts, and the
+daemon's :class:`~repro.service.scheduler.CampaignScheduler` with
+fair-share chunks of several campaigns — so each verdict has one code
+path however it is served.
+
 Cross-run warm reuse rides the same store: worker memo misses are
 journalled, shipped back with each shard, and appended to the
 :class:`~repro.service.store.MemoStore`; the next campaign preloads
@@ -33,10 +41,11 @@ import os
 import signal
 import time
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.concurrency.snapshot import locality_key, prefix_cache_enabled
+from repro.engine.campaigns import INTERLEAVING_UNIT, interleaving_units
 from repro.engine.memo import merge_stats
 from repro.errors import CorruptArtifact, ShardQuarantined
 from repro.obs import trace as _trace
@@ -54,15 +63,43 @@ CHAOS_ENV = "REPRO_CHAOS_KILL_AFTER"
 
 @dataclass(frozen=True)
 class CampaignSpec:
-    """What is being checked — the identity a checkpoint is keyed by."""
+    """What is being checked — the identity a checkpoint is keyed by.
+
+    Every field is checked here, at construction, so a bad value is
+    refused where it enters — the CLI, ``POST /campaigns``, a stored
+    ``campaign.json`` or checkpoint — with a :class:`ValueError` naming
+    the field, instead of raising later inside a scheduling round.
+    """
 
     kind: str = "interleaving"
-    monitor: Optional[str] = None      # module:qualname, None = RustMonitor
+    monitor: Optional[str] = None      # repro.<module>:<class> or None
     seed: int = 0
     preemption_bound: int = 2
     max_schedules: int = 600
     check_ni: bool = True
     observers: Optional[Tuple[int, ...]] = None
+
+    def __post_init__(self):
+        if self.kind != "interleaving":
+            raise ValueError(f"unknown campaign kind {self.kind!r} "
+                             f"(supported: 'interleaving')")
+        for name, floor in (("seed", None), ("preemption_bound", 0),
+                            ("max_schedules", 1)):
+            value = getattr(self, name)
+            if not _is_int(value) or (floor is not None and value < floor):
+                bound = "" if floor is None else f" >= {floor}"
+                raise ValueError(f"{name} must be an integer{bound}, "
+                                 f"got {value!r}")
+        if not isinstance(self.check_ni, bool):
+            raise ValueError(f"check_ni must be a boolean, "
+                             f"got {self.check_ni!r}")
+        if self.observers is not None:
+            if not isinstance(self.observers, (list, tuple)) \
+                    or not all(_is_int(o) for o in self.observers):
+                raise ValueError(f"observers must be a list of integer "
+                                 f"ids or null, got {self.observers!r}")
+            object.__setattr__(self, "observers", tuple(self.observers))
+        _check_monitor_path(self.monitor)
 
     def payload(self) -> Dict:
         return {"kind": self.kind, "monitor": self.monitor,
@@ -75,22 +112,52 @@ class CampaignSpec:
 
     @classmethod
     def from_payload(cls, payload: Dict) -> "CampaignSpec":
-        """Rebuild a spec from a checkpoint's stored payload dict."""
-        observers = payload.get("observers")
-        return cls(kind=payload.get("kind", "interleaving"),
-                   monitor=payload.get("monitor"),
-                   seed=payload.get("seed", 0),
-                   preemption_bound=payload.get("preemption_bound", 2),
-                   max_schedules=payload.get("max_schedules", 600),
-                   check_ni=payload.get("check_ni", True),
-                   observers=tuple(observers)
-                   if observers is not None else None)
+        """Rebuild a spec from a payload dict (absent fields take their
+        defaults); raises :class:`ValueError` on any invalid field."""
+        if not isinstance(payload, dict):
+            raise ValueError(f"a campaign spec must be a JSON object, "
+                             f"got {payload!r}")
+        return cls(**{name: payload[name]
+                      for name in cls.__dataclass_fields__
+                      if name in payload})
 
     def digest(self) -> str:
         # payload() is the canonical form (observers as list-or-None),
         # and the checkpoint digests the same payload — the two must
         # agree or every resume would be a spec mismatch.
         return spec_digest(self.payload())
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_monitor_path(path) -> None:
+    """``None``, or a ``repro.<module>:<class>`` path naming a
+    :class:`~repro.hyperenclave.monitor.RustMonitor` subclass.
+
+    The module name is checked before anything is imported, so a spec
+    can never make a worker import, let alone call, code from outside
+    the package.
+    """
+    if path is None:
+        return
+    module_name, _sep, attr = path.partition(":") \
+        if isinstance(path, str) else ("", "", "")
+    if not attr or not (module_name == "repro"
+                        or module_name.startswith("repro.")):
+        raise ValueError(f"monitor must be a 'repro.<module>:<class>' "
+                         f"path or null, got {path!r}")
+    from repro.engine.executor import resolve_callable
+    from repro.hyperenclave.monitor import RustMonitor
+    try:
+        target = resolve_callable(path)
+    except (ImportError, AttributeError, ValueError) as exc:
+        raise ValueError(f"monitor {path!r} does not resolve: "
+                         f"{exc}") from None
+    if not (isinstance(target, type) and issubclass(target, RustMonitor)):
+        raise ValueError(f"monitor {path!r} is not a RustMonitor "
+                         f"subclass")
 
 
 class CampaignStore:
@@ -241,6 +308,139 @@ def _hash_cons_outputs(outputs, cache: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
+class DurableCampaign:
+    """One durable interleaving campaign's checkpointed loop.
+
+    The one code path that turns checked chunks of a campaign's
+    frontier into committed checkpoints.  :func:`run_durable_campaign`
+    feeds it whole wavefronts; the daemon's
+    :class:`~repro.service.scheduler.CampaignScheduler` feeds it
+    fair-share chunks of several campaigns over one shared pool.
+    Chunked absorption visits schedules in exactly the order whole
+    waves would (the frontier is FIFO), so both produce repr-identical
+    results; only the number of checkpoints differs.
+
+    :meth:`open` checks the stored checkpoint's spec digest and resumes
+    its :class:`~repro.concurrency.explorer.FrontierState` (or starts a
+    fresh one); :meth:`run_chunk` checks one chunk, absorbs it and
+    commits; :meth:`finish` leaves the final ``done`` checkpoint.
+    ``lock`` (any context manager) guards every mutation of the
+    frontier, so a scheduler can serve status reads while a chunk's
+    units run.
+    """
+
+    def __init__(self, spec: CampaignSpec, store: CampaignStore,
+                 checkpoint: Optional[CampaignCheckpoint] = None, *,
+                 lock=None):
+        from repro.concurrency.explorer import FrontierState
+        from repro.engine import workers as worker_module
+
+        self.spec = spec
+        self.store = store
+        self.lock = lock if lock is not None else nullcontext()
+        self.resumed = checkpoint is not None
+        if checkpoint is not None:
+            self.state = checkpoint.state
+            self.stats = copy.deepcopy(checkpoint.stats)
+            self.waves = checkpoint.waves
+            self.checkpoint_done = checkpoint.done
+        else:
+            self.state = FrontierState.start(
+                seed=spec.seed, preemption_bound=spec.preemption_bound,
+                max_schedules=spec.max_schedules)
+            self.stats = {}
+            self.waves = 0
+            self.checkpoint_done = False
+        self._cons_cache: dict = {}
+        if self.checkpoint_done:
+            return
+        if self.resumed:
+            REGISTRY.inc("service.resumes")
+            _trace.event("service.resume", waves=self.waves,
+                         runs=len(self.state.runs),
+                         frontier=len(self.state.frontier))
+        # Warm start *before* any pool forks: preloaded entries and the
+        # journalling flag are inherited by every worker.
+        preloaded = store.memo.preload_memo(worker_module.MEMO)
+        worker_module.MEMO.enable_journal()
+        if preloaded:
+            REGISTRY.inc("service.memo_preloaded", preloaded)
+            _trace.event("service.memo-preload", entries=preloaded)
+        # Seed the event cache from any resumed runs so fresh chunks
+        # share with the history, not just with each other.
+        _hash_cons_outputs(
+            ((result, ()) for _schedule, result in self.state.runs),
+            self._cons_cache)
+
+    @classmethod
+    def open(cls, spec: CampaignSpec, store: CampaignStore, *,
+             lock=None) -> "DurableCampaign":
+        """The campaign ``store`` holds for ``spec``, or a fresh one.
+
+        Raises :class:`~repro.errors.CheckpointMismatch` when the store
+        belongs to another spec; a corrupt checkpoint cold-starts (see
+        :meth:`CampaignStore.load_checkpoint`).
+        """
+        return cls(spec, store,
+                   store.load_checkpoint(expected_digest=spec.digest()),
+                   lock=lock)
+
+    def run_chunk(self, pool, wave, key_prefix: str = "") -> None:
+        """Check ``wave`` (taken from :attr:`state`) on ``pool``, absorb
+        it and commit the checkpoint.
+
+        Snapshots are process-local, so a campaign resumed after
+        ``kill -9`` — or a respawned dead worker — rebuilds its trees
+        from live execution; pre-crash snapshots are never trusted.
+        On ``KeyboardInterrupt`` the chunk goes back on the frontier
+        and the checkpoint records the exact pre-chunk state.
+        """
+        units, keys = interleaving_units(
+            wave, monitor=self.spec.monitor, check_ni=self.spec.check_ni,
+            observers=self.spec.observers, key_prefix=key_prefix)
+        pool.stats = {}
+        try:
+            merged = pool.map(INTERLEAVING_UNIT, units, keys=keys)
+        except KeyboardInterrupt:
+            self.put_back(pool, wave)
+            raise
+        outputs = [_quarantine_output(schedule, value)
+                   if isinstance(value, ShardQuarantined) else value
+                   for schedule, value in zip(wave, merged)]
+        with self.lock:
+            _hash_cons_outputs(outputs, self._cons_cache)
+            self.state.absorb(wave, outputs)
+            merge_stats(self.stats, pool.stats)
+            self.commit(pool, done=self.state.done)
+
+    def put_back(self, pool, wave) -> None:
+        """Return an unchecked chunk to the front of the frontier and
+        commit, so the checkpoint is the exact pre-chunk state."""
+        with self.lock:
+            self.state.frontier.extendleft(reversed(wave))
+            self.commit(pool, done=False)
+
+    def commit(self, pool, *, done: bool) -> None:
+        """The checkpoint plus memo-journal flush (the crash barrier)."""
+        appended = self.store.memo.extend(pool.drain_memo_journal())
+        if appended:
+            REGISTRY.inc("service.memo_persisted", appended)
+        self.waves += 1
+        self.store.save_checkpoint(CampaignCheckpoint(
+            spec=self.spec.payload(), state=self.state, waves=self.waves,
+            done=done, stats=copy.deepcopy(self.stats)))
+        self.checkpoint_done = done
+
+    def finish(self, pool):
+        """The campaign's result, after a final ``done`` commit when
+        the exploration ended inside ``take_wave`` (truncation, or an
+        empty frontier on a resumed store): the last per-chunk
+        checkpoint predates that decision."""
+        if not self.checkpoint_done:
+            self.commit(pool, done=True)
+        return self.state.result()
+
+
 def run_durable_campaign(spec: CampaignSpec, store, *,
                          workers: Optional[int] = None,
                          executor: Optional[ResilientExecutor] = None,
@@ -258,125 +458,33 @@ def run_durable_campaign(spec: CampaignSpec, store, *,
     honoured for pool reuse across campaigns *sharing a store* — a
     pool forked before this store's memo preload would run cold.
     """
-    if spec.kind != "interleaving":
-        raise ValueError(f"unknown campaign kind {spec.kind!r} "
-                         f"(supported: 'interleaving')")
-    from repro.concurrency.explorer import FrontierState
-    from repro.engine import workers as worker_module
-    from repro.hyperenclave.monitor import HOST_ID
-
     owns_store = not isinstance(store, CampaignStore)
     store = _coerce_store(store)
-    digest = spec.digest()
-    checkpoint = store.load_checkpoint(expected_digest=digest)
     threshold = _chaos_threshold(chaos_kill_after)
-
-    if checkpoint is not None and checkpoint.done:
+    try:
+        campaign = DurableCampaign.open(spec, store)
+        if campaign.checkpoint_done:
+            return campaign.state.result()
+        pool = executor if executor is not None \
+            else ResilientExecutor(workers)
+        opened_waves = campaign.waves
+        try:
+            with _trace.span("service.campaign", kind=spec.kind,
+                             seed=spec.seed, resumed=campaign.resumed):
+                while True:
+                    wave = campaign.state.take_wave()
+                    if not wave:
+                        break
+                    campaign.run_chunk(pool, wave)
+                    _maybe_chaos_kill(threshold,
+                                      campaign.waves - opened_waves, pool)
+                return campaign.finish(pool)
+        finally:
+            if executor is None:
+                pool.close()
+    finally:
         if owns_store:
             store.close()
-        return checkpoint.state.result()
-
-    if checkpoint is not None:
-        state: FrontierState = checkpoint.state
-        base_stats = copy.deepcopy(checkpoint.stats)
-        waves = checkpoint.waves
-        REGISTRY.inc("service.resumes")
-        _trace.event("service.resume", waves=waves,
-                     runs=len(state.runs),
-                     frontier=len(state.frontier))
-    else:
-        state = FrontierState.start(seed=spec.seed,
-                                    preemption_bound=spec.preemption_bound,
-                                    max_schedules=spec.max_schedules)
-        base_stats = {}
-        waves = 0
-
-    # Warm start *before* the pool forks: preloaded entries and the
-    # journalling flag are inherited by every worker.
-    preloaded = store.memo.preload_memo(worker_module.MEMO)
-    worker_module.MEMO.enable_journal()
-    if preloaded:
-        REGISTRY.inc("service.memo_preloaded", preloaded)
-        _trace.event("service.memo-preload", entries=preloaded)
-
-    # Seed the event cache from any resumed runs so fresh waves share
-    # with the history, not just with each other.
-    cons_cache: dict = {}
-    _hash_cons_outputs(((result, ()) for _schedule, result in state.runs),
-                       cons_cache)
-
-    watchers = list(spec.observers) if spec.observers is not None \
-        else [HOST_ID]
-    pool = executor if executor is not None \
-        else ResilientExecutor(workers)
-    owns_pool = executor is None
-
-    def commit(done: bool) -> None:
-        nonlocal waves
-        appended = store.memo.extend(pool.drain_memo_journal())
-        if appended:
-            REGISTRY.inc("service.memo_persisted", appended)
-        waves += 1
-        stats = merge_stats(copy.deepcopy(base_stats), pool.stats)
-        store.save_checkpoint(CampaignCheckpoint(
-            spec=spec.payload(), state=state, waves=waves, done=done,
-            stats=stats))
-
-    with _trace.span("service.campaign", kind=spec.kind,
-                     seed=spec.seed, resumed=checkpoint is not None):
-        try:
-            finished = False
-            # Snapshot-tree caching: on by default (REPRO_PREFIX_CACHE
-            # gates it).  Snapshots are process-local, so a campaign
-            # resumed after kill -9 — or a respawned dead worker —
-            # starts with empty trees and rebuilds them from live
-            # execution; pre-crash snapshots are never trusted, by
-            # construction.  Digests stay byte-identical either way.
-            use_cache = prefix_cache_enabled(None)
-            while True:
-                wave = state.take_wave()
-                if not wave:
-                    break
-                units = [{"schedule": schedule, "monitor": spec.monitor,
-                          "config": None, "check_ni": spec.check_ni,
-                          "observers": watchers,
-                          "prefix_cache": use_cache}
-                         for schedule in wave]
-                try:
-                    merged = pool.map(
-                        "repro.engine.workers:run_interleaving_unit",
-                        units, keys=[locality_key(s) if use_cache
-                                     else s.describe() for s in wave])
-                except KeyboardInterrupt:
-                    # The wave never merged: put it back where it came
-                    # from and flush, so the checkpoint is the exact
-                    # pre-wave state.
-                    state.frontier.extendleft(reversed(wave))
-                    commit(done=False)
-                    raise
-                outputs = [
-                    _quarantine_output(schedule, value)
-                    if isinstance(value, ShardQuarantined) else value
-                    for schedule, value in zip(wave, merged)]
-                _hash_cons_outputs(outputs, cons_cache)
-                state.absorb(wave, outputs)
-                commit(done=state.done)
-                finished = state.done
-                _maybe_chaos_kill(threshold, waves - (checkpoint.waves
-                                                      if checkpoint else 0),
-                                  pool)
-            if not finished:
-                # The exploration ended inside take_wave (truncation,
-                # or an empty frontier on a resumed store): the last
-                # per-wave checkpoint predates that decision, so leave
-                # a final, done one behind.
-                commit(done=True)
-        finally:
-            if owns_pool:
-                pool.close()
-            if owns_store:
-                store.close()
-    return state.result()
 
 
 def resume_campaign(store, *, workers: Optional[int] = None,

@@ -24,46 +24,46 @@ def _read(path):
 def test_same_config_overwrites_in_place(tmp_path):
     out = tmp_path / "bench.json"
     config = {"workers": 4, "bounds": [2, 3]}
-    _merged_out(str(out), "prefix_cache",
-                _record("prefix-cache", config, speedup=1.9))
-    merged = _merged_out(str(out), "prefix_cache",
-                         _record("prefix-cache", config, speedup=2.1))
-    assert merged["prefix_cache"]["speedup"] == 2.1
-    assert set(_read(out)) == {"prefix_cache"}
+    _merged_out(str(out), "service",
+                _record("checking-service", config, speedup=1.9))
+    merged = _merged_out(str(out), "service",
+                         _record("checking-service", config, speedup=2.1))
+    assert merged["service"]["speedup"] == 2.1
+    assert set(_read(out)) == {"service"}
 
 
 def test_config_mismatch_writes_side_by_side(tmp_path, capsys):
     out = tmp_path / "bench.json"
-    old = _record("prefix-cache", {"workers": 4}, speedup=1.9)
-    new = _record("prefix-cache", {"workers": 8}, speedup=2.4)
-    _merged_out(str(out), "prefix_cache", old)
-    merged = _merged_out(str(out), "prefix_cache", new)
-    assert merged["prefix_cache"] == old
-    keyed = [key for key in merged if key.startswith("prefix_cache@")]
+    old = _record("checking-service", {"workers": 4}, speedup=1.9)
+    new = _record("checking-service", {"workers": 8}, speedup=2.4)
+    _merged_out(str(out), "service", old)
+    merged = _merged_out(str(out), "service", new)
+    assert merged["service"] == old
+    keyed = [key for key in merged if key.startswith("service@")]
     assert len(keyed) == 1
     assert merged[keyed[0]] == new
     assert "different config" in capsys.readouterr().err
     # re-running under the new config overwrites its own keyed slot
-    again = _merged_out(str(out), "prefix_cache", dict(new, speedup=2.5))
+    again = _merged_out(str(out), "service", dict(new, speedup=2.5))
     assert again[keyed[0]]["speedup"] == 2.5
-    assert len([k for k in again if k.startswith("prefix_cache@")]) == 1
+    assert len([k for k in again if k.startswith("service@")]) == 1
 
 
 def test_top_level_write_preserves_section_records(tmp_path):
     out = tmp_path / "bench.json"
     _merged_out(str(out), "durability",
                 _record("durable-orchestrator", {"seed": 0}))
-    _merged_out(str(out), "prefix_cache",
-                _record("prefix-cache", {"seed": 0}))
+    _merged_out(str(out), "service",
+                _record("checking-service", {"seed": 0}))
     doc = _merged_out(str(out), None,
                       _record("parallel-checking-fabric", {"seed": 0},
                               sequential={"seconds": 1.0}))
     assert doc["benchmark"] == "parallel-checking-fabric"
     assert doc["durability"]["benchmark"] == "durable-orchestrator"
-    assert doc["prefix_cache"]["benchmark"] == "prefix-cache"
+    assert doc["service"]["benchmark"] == "checking-service"
     # stale top-level sub-dicts of a *previous* document (no benchmark
     # tag) are not resurrected
     fresh = _merged_out(str(out), None,
                         _record("parallel-checking-fabric", {"seed": 1}))
     assert "sequential" not in fresh
-    assert "prefix_cache" in fresh
+    assert "service" in fresh

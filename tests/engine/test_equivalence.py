@@ -9,7 +9,10 @@ committed golden digest pins the campaign (the interleaving grids, the
 x86 crash-step sweep at the allocator sites, crash-NI, the
 critical-section crashes and the seed-0/1 bit flips) it must equal
 that too, including the grids where the planted concurrency bugs fire
-(violations must merge identically, not just clean runs).
+(violations must merge identically, not just clean runs).  The pool's
+interleaving rows also show the workers' snapshot trees at work: the
+registry delta the pool merges back carries snapshot hits and saved
+steps, so the golden digest is checked on the cached path.
 """
 
 import pytest
@@ -22,6 +25,7 @@ from repro.engine import (
 )
 from repro.engine.executor import stable_shard
 from repro.hyperenclave.constants import ARCH_CONFIGS
+from repro.obs.metrics import REGISTRY
 from tests.test_golden_verdicts import (
     ENTRIES,
     digest,
@@ -40,9 +44,13 @@ def _assert_golden(sharded, name):
     "x86_64/interleaving/clean", "x86_64/interleaving/missing-lock",
     "x86_64/interleaving/no-shootdown", "x86_64/interleaving/crash-1-3"])
 def test_interleaving_equivalence(pool, name):
+    before = REGISTRY.snapshot()
     sharded = ENTRIES[name](executor=pool)
+    counters = REGISTRY.delta(before)["counters"]
     _assert_golden(sharded, name)
     assert sharded.ok == name.endswith(("clean", "crash-1-3"))
+    assert counters.get("snapshot_cache.hits", 0) > 0, counters
+    assert counters.get("snapshot_cache.steps_saved", 0) > 0, counters
 
 
 @pytest.mark.parametrize("name", [

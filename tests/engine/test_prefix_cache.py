@@ -2,9 +2,10 @@
 
 The snapshot tree's one hard guarantee mirrors the fabric's: a
 campaign run through restored snapshots is **byte-identical**
-(``repr``-equal) to the uncached from-scratch path — at any
-cache capacity, including a budget of zero and a single-node LRU that
-evicts on every insert.  Hypothesis drives random (seed, preemption
+(``repr``-equal) to the from-scratch run a zero-budget tree gives
+(nothing captured, every schedule from a fresh world clone) — at any
+cache capacity, including a single-node LRU that evicts on every
+insert.  Hypothesis drives random (seed, preemption
 bound, fault plan) configurations through both paths; the directed
 tests pin the cache actually *working* (hits, suffix steps saved) and
 its counters surfacing through the metrics registry.
@@ -23,7 +24,6 @@ from repro.concurrency.snapshot import (
     ENV_BUDGET,
     SnapshotTree,
     locality_key,
-    prefix_cache_enabled,
     process_tree,
     reset_process_tree,
     snapshot_budget_bytes,
@@ -45,37 +45,41 @@ def tree():
     reset_process_tree(None)
 
 
-def _both(tree_kwargs=None, **grid):
-    """One campaign through a fresh tree and one through the legacy
-    path; returns (cached_repr, legacy_repr, tree, counter_delta)."""
-    installed = SnapshotTree(**(tree_kwargs or {}))
-    reset_process_tree(installed)
+def _run(tree, **grid):
+    """One campaign through ``tree`` installed as the process tree."""
+    reset_process_tree(tree)
     try:
-        before = REGISTRY.snapshot()
-        cached = parallel_interleaving_campaign(prefix_cache=True,
-                                                **grid)
-        delta = REGISTRY.delta(before)["counters"]
-        legacy = parallel_interleaving_campaign(prefix_cache=False,
-                                                **grid)
-        return repr(cached), repr(legacy), installed, delta
+        return parallel_interleaving_campaign(**grid)
     finally:
         reset_process_tree(None)
+
+
+def _both(tree_kwargs=None, **grid):
+    """One campaign through a fresh tree and one through a zero-budget
+    tree (the from-scratch reference); returns (cached_repr,
+    scratch_repr, tree, counter_delta)."""
+    installed = SnapshotTree(**(tree_kwargs or {}))
+    before = REGISTRY.snapshot()
+    cached = _run(installed, **grid)
+    delta = REGISTRY.delta(before)["counters"]
+    scratch = _run(SnapshotTree(budget_bytes=0), **grid)
+    return repr(cached), repr(scratch), installed, delta
 
 
 @given(data=st.data())
 @settings(max_examples=6, deadline=None)
 def test_random_configs_restore_byte_identically(data):
     """Random (seed, bound, fault plan): snapshot-restored campaigns
-    repr-match the from-scratch legacy path."""
+    repr-match the from-scratch run."""
     seed = data.draw(st.integers(0, 4), label="seed")
     bound = data.draw(st.integers(1, 2), label="preemption_bound")
     crash = data.draw(
         st.one_of(st.none(),
                   st.tuples(st.integers(0, 1), st.integers(1, 6))),
         label="crash")
-    cached, legacy, _tree, _delta = _both(
+    cached, scratch, _tree, _delta = _both(
         seed=seed, preemption_bound=bound, crash=crash, **GRID)
-    assert cached == legacy
+    assert cached == scratch
 
 
 @given(data=st.data())
@@ -87,9 +91,9 @@ def test_forced_eviction_preserves_equivalence(data):
     seed = data.draw(st.integers(0, 3), label="seed")
     kwargs = data.draw(st.sampled_from(
         [{"budget_bytes": 0}, {"max_nodes": 1}]), label="capacity")
-    cached, legacy, tree, delta = _both(
+    cached, scratch, tree, delta = _both(
         tree_kwargs=kwargs, seed=seed, preemption_bound=1, **GRID)
-    assert cached == legacy
+    assert cached == scratch
     if kwargs.get("budget_bytes") == 0:
         assert delta["snapshot_cache.hits"] == 0
         assert delta["snapshot_cache.captures"] == 0
@@ -101,9 +105,9 @@ def test_forced_eviction_preserves_equivalence(data):
 def test_cache_hits_and_saves_suffix_steps():
     """Under the default budget the tree actually serves: most lookups
     hit and whole prefixes of scheduler decisions are skipped."""
-    cached, legacy, tree, delta = _both(seed=0, preemption_bound=1,
-                                        **GRID)
-    assert cached == legacy
+    cached, scratch, tree, delta = _both(seed=0, preemption_bound=1,
+                                         **GRID)
+    assert cached == scratch
     hits = delta["snapshot_cache.hits"]
     misses = delta["snapshot_cache.misses"]
     assert hits > 0 and hits / (hits + misses) > 0.5
@@ -112,21 +116,20 @@ def test_cache_hits_and_saves_suffix_steps():
     assert tree.bytes_resident > 0
 
 
-def test_ni_worlds_restore_byte_identically(tree):
+def test_ni_worlds_restore_byte_identically():
     """The noninterference re-run (secret-42 world) gets its own
     subtree via the world key; full NI campaigns restore identically."""
-    grid = dict(seed=1, preemption_bound=1, max_schedules=10,
-                check_ni=True, workers=1)
-    cached = parallel_interleaving_campaign(prefix_cache=True, **grid)
-    legacy = parallel_interleaving_campaign(prefix_cache=False, **grid)
-    assert repr(cached) == repr(legacy)
+    cached, scratch, _tree, delta = _both(
+        seed=1, preemption_bound=1, max_schedules=10, check_ni=True,
+        workers=1)
+    assert cached == scratch
+    assert delta["snapshot_cache.hits"] > 0
 
 
 def test_in_process_campaign_leaves_no_tree(tree):
     """Closing an in-process executor drops the process tree, so a
     long-lived process keeps no finished campaign's nodes resident."""
-    parallel_interleaving_campaign(prefix_cache=True, seed=0,
-                                   preemption_bound=1, **GRID)
+    parallel_interleaving_campaign(seed=0, preemption_bound=1, **GRID)
     assert tree.bytes_resident > 0, "the campaign must have captured"
     assert snapshot._PROCESS_TREE is None
 
@@ -134,29 +137,12 @@ def test_in_process_campaign_leaves_no_tree(tree):
 def test_counters_surface_in_render_metrics(tree):
     """The snapshot-cache counter group flows through the registry into
     the rendered metrics table (and hence the daemon's ``/metrics``)."""
-    parallel_interleaving_campaign(prefix_cache=True, seed=0,
-                                   preemption_bound=1, **GRID)
+    parallel_interleaving_campaign(seed=0, preemption_bound=1, **GRID)
     table = render_metrics(REGISTRY.snapshot())
     for name in ("snapshot_cache.hits", "snapshot_cache.misses",
                  "snapshot_cache.steps_saved",
                  "snapshot_cache.bytes_resident"):
         assert name in table
-
-
-def test_flag_resolution(monkeypatch):
-    """Explicit beats env; unset/empty env means on; the usual
-    falsey spellings disable."""
-    monkeypatch.delenv("REPRO_PREFIX_CACHE", raising=False)
-    assert prefix_cache_enabled(None) is True
-    assert prefix_cache_enabled(False) is False
-    for value in ("0", "false", "NO", " off "):
-        monkeypatch.setenv("REPRO_PREFIX_CACHE", value)
-        assert prefix_cache_enabled(None) is False
-        assert prefix_cache_enabled(True) is True
-    monkeypatch.setenv("REPRO_PREFIX_CACHE", "1")
-    assert prefix_cache_enabled(None) is True
-    monkeypatch.setenv("REPRO_PREFIX_CACHE", "")
-    assert prefix_cache_enabled(None) is True
 
 
 def test_budget_resolution(monkeypatch):

@@ -23,6 +23,7 @@ from repro.errors import AdmissionRefused, CampaignNotFound, ServiceError
 from repro.service.client import ServiceClient
 from repro.service.daemon import CheckingDaemon
 from repro.service.scheduler import DONE
+from tests.service.test_scheduler import BAD_SPECS
 
 SPEC = {"preemption_bound": 1, "max_schedules": 12}
 
@@ -93,6 +94,17 @@ class TestRoutes:
         # Nothing was admitted, and the daemon keeps scheduling.
         assert client.list_campaigns() == []
         assert client.healthz()["status"] == "ok"
+
+    def test_bad_spec_is_400_and_service_keeps_serving(self, client):
+        """Every invalid spec field dies at admission as a 400; nothing
+        is admitted, and a good campaign still runs to done."""
+        for index, bad in enumerate(BAD_SPECS):
+            with pytest.raises(ServiceError, match="HTTP 400"):
+                client.submit(dict(SPEC, id=f"bad{index}", **bad))
+        assert client.list_campaigns() == []
+        client.submit(dict(SPEC, id="good"))
+        final = client.wait("good", deadline=120)
+        assert final["status"] == DONE and final["ok"]
 
     def test_untyped_failure_maps_to_500_json(
             self, daemon, client, monkeypatch):

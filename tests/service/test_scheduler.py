@@ -11,7 +11,9 @@ The two load-bearing properties:
   the mix of frontier depths (property-tested below).
 """
 
+import json
 import os
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +30,22 @@ from repro.service.scheduler import (
 )
 
 SMALL = dict(preemption_bound=1, max_schedules=18)
+
+#: Submission payloads every admission point must refuse: each one used
+#: to be admitted and then either raise inside every scheduling round
+#: (wedging the loop for all campaigns), reach a worker as an arbitrary
+#: callable, or run to ``done`` under a meaningless spec.
+BAD_SPECS = [
+    {"max_schedules": "12"}, {"max_schedules": 0},
+    {"max_schedules": True}, {"preemption_bound": "x"},
+    {"preemption_bound": -1}, {"seed": [1]}, {"seed": False},
+    {"kind": "bogus"}, {"check_ni": "no"}, {"check_ni": 1},
+    {"observers": "ab"}, {"observers": [True]}, {"observers": 5},
+    {"monitor": "os:getcwd"}, {"monitor": "repro"},
+    {"monitor": "repro.engine.executor:resolve_callable"},
+    {"monitor": "repro.hyperenclave.monitor:NoSuchMonitor"},
+    {"monitor": ["repro.hyperenclave.buggy:MissingLockMonitor"]},
+]
 
 
 def scheduler_for(tmp_path, **options) -> CampaignScheduler:
@@ -67,6 +85,30 @@ class TestVerdictIdentity:
         checkpoint = store.load_checkpoint()
         assert checkpoint is not None and checkpoint.done
         assert os.path.exists(os.path.join(store.root, "result.json"))
+
+
+    def test_whole_waves_and_one_unit_chunks_agree(self, tmp_path):
+        """The one durable driver under both schedulers of chunks:
+        whole wavefronts and 1-unit fair-share chunks reach the same
+        result and a done checkpoint, each committing once per chunk
+        it ran (per BFS level solo, per schedule chunked)."""
+        spec = CampaignSpec(preemption_bound=2, max_schedules=30)
+        solo_root = str(tmp_path / "solo")
+        solo = run_durable_campaign(spec, solo_root, workers=1)
+        sched = scheduler_for(tmp_path, round_capacity=1)
+        cid = sched.submit(spec, campaign_id="chunked")
+        sched.run_until_idle()
+        assert sched.status(cid)["result_digest"] == _result_digest(solo)
+        sched.drain()
+        solo_ck = CampaignStore(solo_root).load_checkpoint()
+        chunked_ck = CampaignStore(
+            os.path.join(str(tmp_path / "svc"), cid)).load_checkpoint()
+        assert solo_ck.done and chunked_ck.done
+        assert _result_digest(chunked_ck.state.result()) \
+            == _result_digest(solo_ck.state.result())
+        levels = {len(schedule.preemptions) for schedule, _ in solo.runs}
+        assert solo_ck.waves == len(levels) + solo.truncated
+        assert chunked_ck.waves == len(solo.runs) + solo.truncated
 
 
 class TestFairShare:
@@ -197,6 +239,30 @@ class TestAdmission:
             sched.submit(spec, wave_budget=True)
         assert sched.list_campaigns() == []
         sched.drain()
+
+    def test_bad_specs_refused_at_construction(self):
+        for payload in BAD_SPECS:
+            with pytest.raises(ValueError):
+                CampaignSpec.from_payload(payload)
+        with pytest.raises(ValueError):
+            CampaignSpec.from_payload(["not", "a", "dict"])
+
+    def test_monitor_path_outside_repro_imports_nothing(self):
+        """The monitor's module is vetted before any import, so a spec
+        cannot make the service import code from outside ``repro``."""
+        assert "this" not in sys.modules
+        with pytest.raises(ValueError, match="repro"):
+            CampaignSpec(monitor="this:s")
+        assert "this" not in sys.modules
+
+    def test_good_specs_normalise(self):
+        spec = CampaignSpec.from_payload(
+            {"monitor": "repro.hyperenclave.buggy:MissingLockMonitor",
+             "observers": [0, 2], "seed": 3})
+        assert spec.observers == (0, 2)
+        assert spec == CampaignSpec.from_payload(spec.payload())
+        assert CampaignSpec(observers=[1]).digest() \
+            == CampaignSpec(observers=(1,)).digest()
 
     def test_unknown_campaign_is_typed(self, tmp_path):
         sched = scheduler_for(tmp_path)
@@ -334,6 +400,33 @@ class TestCancelAndDrain:
         assert again.status(good)["status"] == DONE
         again.drain()
 
+    def test_recover_skips_bad_spec(self, tmp_path):
+        """A ``campaign.json`` whose spec no longer validates (written
+        before specs were checked) is a recover-skip; it used to be
+        re-admitted and wedge every round after a restart."""
+        from repro.obs.metrics import REGISTRY
+        sched = scheduler_for(tmp_path)
+        good = sched.submit(CampaignSpec(seed=0, **SMALL))
+        sched.drain()
+        poisoned = tmp_path / "svc" / "poisoned"
+        poisoned.mkdir()
+        (poisoned / "campaign.json").write_text(json.dumps({
+            "id": "poisoned",
+            "spec": dict(CampaignSpec(**SMALL).payload(),
+                         max_schedules="12"),
+            "wall_budget": None, "wave_budget": None}))
+        before = REGISTRY.snapshot()
+        again = CampaignScheduler(str(tmp_path / "svc"), workers=1,
+                                  round_capacity=6)
+        assert again.recover() == [good]
+        counters = REGISTRY.delta(before)["counters"]
+        assert counters.get("service.recover_skipped") == 1
+        with pytest.raises(CampaignNotFound):
+            again.status("poisoned")
+        again.run_until_idle()
+        assert again.status(good)["status"] == DONE
+        again.drain()
+
     def test_recover_registers_finished_campaigns_read_only(
             self, tmp_path):
         sched = scheduler_for(tmp_path)
@@ -347,6 +440,35 @@ class TestCancelAndDrain:
         assert status["status"] == DONE
         assert status["result_digest"] == digest
         again.drain()
+
+
+class TestIdlePool:
+    """An idle scheduler retires its owned pool's snapshot trees: no
+    finished campaign's nodes stay resident in a long-lived daemon."""
+
+    def test_in_process_tree_dropped_when_idle(self, tmp_path):
+        from repro.concurrency import snapshot
+        sched = scheduler_for(tmp_path)
+        sched.submit(CampaignSpec(**SMALL))
+        sched._step(block=False)
+        assert snapshot._PROCESS_TREE is not None
+        sched.run_until_idle()
+        assert snapshot._PROCESS_TREE is None
+        sched.drain()
+
+    def test_forked_workers_retired_when_idle_and_refork(self, tmp_path):
+        sched = scheduler_for(tmp_path, workers=2)
+        first = sched.submit(CampaignSpec(seed=0, **SMALL))
+        sched._step(block=False)
+        assert sched.pool._pools is not None
+        sched.run_until_idle()
+        assert sched.pool._pools is None
+        second = sched.submit(CampaignSpec(seed=1, **SMALL))
+        sched.run_until_idle()
+        assert sched.pool._pools is None
+        for cid in (first, second):
+            assert sched.status(cid)["status"] == DONE
+        sched.drain()
 
 
 class TestLiveness:
