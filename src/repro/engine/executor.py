@@ -182,9 +182,32 @@ class ShardedExecutor:
         pools, self._pools = self._pools, None
         for pool in pools or ():
             pool.shutdown()
+        self.drop_trees()        # in-process only: the workers are gone
+
+    def drop_trees(self):
+        """Drop every snapshot tree this executor's units warmed.
+
+        In-process that is this process's tree; with a pool, each live
+        worker drops its own and stays up, so its check memo and world
+        prototypes stay warm for the next campaign (retiring the
+        workers would discard both).  A worker that has died holds no
+        tree; the next :meth:`map` respawns it.
+        """
+        from repro.concurrency.snapshot import reset_process_tree
         if self.workers <= 1:
-            from repro.concurrency.snapshot import reset_process_tree
             reset_process_tree()
+            return
+        futures = []
+        for pool in self._pools or ():
+            try:
+                futures.append(pool.submit(reset_process_tree))
+            except RuntimeError:     # broken or shut-down slot pool
+                pass
+        for future in futures:
+            try:
+                future.result()
+            except RuntimeError:     # the worker died meanwhile
+                pass
 
     def terminate(self):
         """Kill worker processes *now* (the Ctrl-C / abort path).

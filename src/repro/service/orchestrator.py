@@ -354,10 +354,14 @@ class DurableCampaign:
         self._cons_cache: dict = {}
         if self.checkpoint_done:
             return
+        # The store's directory names the campaign (a daemon store is
+        # ``<root>/<campaign id>``), so traces of several campaigns
+        # resumed together stay attributable.
+        name = os.path.basename(os.path.normpath(store.root))
         if self.resumed:
             REGISTRY.inc("service.resumes")
-            _trace.event("service.resume", waves=self.waves,
-                         runs=len(self.state.runs),
+            _trace.event("service.resume", campaign=name,
+                         waves=self.waves, runs=len(self.state.runs),
                          frontier=len(self.state.frontier))
         # Warm start *before* any pool forks: preloaded entries and the
         # journalling flag are inherited by every worker.
@@ -365,7 +369,8 @@ class DurableCampaign:
         worker_module.MEMO.enable_journal()
         if preloaded:
             REGISTRY.inc("service.memo_preloaded", preloaded)
-            _trace.event("service.memo-preload", entries=preloaded)
+            _trace.event("service.memo-preload", campaign=name,
+                         entries=preloaded)
         # Seed the event cache from any resumed runs so fresh chunks
         # share with the history, not just with each other.
         _hash_cons_outputs(
@@ -495,9 +500,9 @@ def resume_campaign(store, *, workers: Optional[int] = None,
     The spec travels inside the checkpoint, so resuming needs only the
     store path.  Raises :class:`FileNotFoundError` when the store has
     no checkpoint and :class:`~repro.errors.CorruptArtifact` when the
-    checkpoint cannot be loaded (an explicit resume of a damaged store
-    should fail loudly; the *campaign* entry point is the one with the
-    cold-start fallback).
+    checkpoint cannot be loaded or its stored spec is refused (an
+    explicit resume of a damaged store should fail loudly; the
+    *campaign* entry point is the one with the cold-start fallback).
     """
     owns_store = not isinstance(store, CampaignStore)
     store = _coerce_store(store)
@@ -507,7 +512,11 @@ def resume_campaign(store, *, workers: Optional[int] = None,
                 f"no checkpoint at {store.checkpoint_path!r} — nothing "
                 f"to resume")
         checkpoint = store.load_checkpoint(strict=True)
-        spec = CampaignSpec.from_payload(checkpoint.spec)
+        try:
+            spec = CampaignSpec.from_payload(checkpoint.spec)
+        except ValueError as exc:
+            raise CorruptArtifact(store.checkpoint_path,
+                                  f"stored spec refused: {exc}") from exc
         return run_durable_campaign(spec, store, workers=workers,
                                     executor=executor,
                                     chaos_kill_after=chaos_kill_after)

@@ -111,7 +111,7 @@ class ManagedCampaign:
     """One campaign under scheduler management (registry entry)."""
 
     campaign_id: str
-    spec: CampaignSpec
+    spec: Optional[CampaignSpec]         # None: see ``stored_spec``
     store: CampaignStore
     status: str = QUEUED
     admission_index: int = 0
@@ -127,6 +127,9 @@ class ManagedCampaign:
     bundles_cut: int = 0
     error: Optional[str] = None
     result_summary: Optional[Dict] = None
+    #: A finished campaign's stored spec that today's checks refuse;
+    #: :meth:`CampaignScheduler.recover` registers it read-only.
+    stored_spec: Optional[Dict] = None
 
     @property
     def active(self) -> bool:
@@ -154,7 +157,8 @@ class ManagedCampaign:
             "id": self.campaign_id,
             "status": self.status,
             "store": self.store.root,
-            "spec": self.spec.payload(),
+            "spec": self.spec.payload() if self.spec is not None
+            else self.stored_spec,
             "waves": self.waves,
             "schedules_run": (len(self.state.runs)
                               if self.state is not None else
@@ -229,6 +233,7 @@ class CampaignScheduler:
         self._draining = False
         self._thread: Optional[threading.Thread] = None
         self._heartbeat = time.monotonic()
+        self._trees_warm = False             # chunks ran since last idle
 
     # -- admission ----------------------------------------------------------
 
@@ -271,6 +276,10 @@ class CampaignScheduler:
                     and existing.status not in (CANCELLED, INTERRUPTED,
                                                 FAILED):
                 return campaign_id
+            if existing is not None and existing.spec is None:
+                raise ValueError(
+                    f"campaign {campaign_id!r} ran under a spec this "
+                    f"version refuses; it stays read-only")
             if self._draining:
                 raise AdmissionRefused("service is draining",
                                        retry_after=None)
@@ -343,7 +352,9 @@ class CampaignScheduler:
         queued) when the previous daemon died; its checkpoint — if any
         — is at most one wave chunk behind.  Finished campaigns are
         registered read-only so their status and artifacts stay
-        servable.  Returns the re-admitted ids.
+        servable, even when their stored spec fails today's checks; an
+        incomplete store with such a spec is skipped (counted on
+        ``service.recover_skipped``).  Returns the re-admitted ids.
         """
         resumed = []
         for name in sorted(os.listdir(self.root)):
@@ -353,21 +364,26 @@ class CampaignScheduler:
             try:
                 with open(meta_path) as fh:
                     meta = json.load(fh)
-                spec = CampaignSpec.from_payload(meta["spec"])
-            except (OSError, ValueError, KeyError) as exc:
-                REGISTRY.inc("service.recover_skipped")
-                _trace.event("service.recover-skip", campaign=name,
-                             cause=str(exc))
+                payload = meta["spec"]
+            except (OSError, ValueError, KeyError, TypeError) as exc:
+                _recover_skip(name, exc)
                 continue
+            try:
+                spec, refused = CampaignSpec.from_payload(payload), None
+            except ValueError as exc:
+                spec, refused = None, exc
             result_path = os.path.join(self.root, name, RESULT_FILE)
             if os.path.exists(result_path):
+                # A finished verdict stays servable even when its spec
+                # predates today's checks: nothing of it runs again.
                 with self._lock:
                     self._admitted += 1
                     campaign = ManagedCampaign(
                         campaign_id=name, spec=spec,
                         store=CampaignStore(os.path.join(self.root,
                                                          name)),
-                        admission_index=self._admitted)
+                        admission_index=self._admitted,
+                        stored_spec=payload if spec is None else None)
                     try:
                         with open(result_path) as fh:
                             campaign.result_summary = json.load(fh)
@@ -377,6 +393,9 @@ class CampaignScheduler:
                         campaign.status = DONE
                     self._campaigns[name] = campaign
                     self._order.append(name)
+                continue
+            if refused is not None:
+                _recover_skip(name, refused)
                 continue
             # Recovered campaigns are pre-existing obligations, so they
             # are exempt from the admission bound — a crash must never
@@ -391,9 +410,7 @@ class CampaignScheduler:
                             wave_budget=meta.get("wave_budget"),
                             resumed=True, _admission_exempt=True)
             except (ValueError, AdmissionRefused) as exc:
-                REGISTRY.inc("service.recover_skipped")
-                _trace.event("service.recover-skip", campaign=name,
-                             cause=str(exc))
+                _recover_skip(name, exc)
                 continue
             resumed.append(name)
         if resumed:
@@ -550,34 +567,34 @@ class CampaignScheduler:
             self._promote()
             active = [c for c in self._running()
                       if not self._over_budget(c)]
-            if not active:
-                if block and not self._draining:
-                    self._wakeup.wait(timeout=0.25)
-                    self._heartbeat = time.monotonic()
-                return self._busy()
-            plan = self._plan_round(active)
-        executed = False
+            plan = self._plan_round(active) if active else []
+            if not active and block and not self._draining:
+                self._wakeup.wait(timeout=0.25)
+                self._heartbeat = time.monotonic()
         for campaign, wave in plan:
-            executed = True
+            self._trees_warm = True
             self._run_chunk(campaign, wave)
             with self._lock:
                 self._heartbeat = time.monotonic()
         with self._lock:
-            return self._busy() or executed
+            busy = self._busy() or bool(plan)
+        if not busy and self._trees_warm:
+            self._release_trees()
+        return busy
 
     def _busy(self) -> bool:
-        """Whether any campaign is running or queued.
+        """Whether any campaign is running or queued."""
+        return bool(self._running() or self._queued())
 
-        An idle scheduler closes its owned pool, which drops the
-        in-process snapshot tree or retires the forked workers with
-        theirs, so no finished campaign's nodes stay resident.  The
-        next map re-forks lazily, after the next campaign's memo
-        preload, which the new workers then inherit.
+    def _release_trees(self):
+        """Drop the owned pool's snapshot trees once the scheduler goes
+        idle, so no finished campaign's nodes stay resident in a
+        long-lived daemon.  The workers (and their check memo) stay up
+        for the next campaign; a shared pool is its owner's to manage.
         """
-        busy = bool(self._running() or self._queued())
-        if not busy and self._owns_pool:
-            self.pool.close()
-        return busy
+        self._trees_warm = False
+        if self._owns_pool:
+            self.pool.drop_trees()
 
     def _promote(self):
         """Queued → running while the active bound has room."""
@@ -762,6 +779,11 @@ class CampaignScheduler:
         _trace.event("service.done", campaign=campaign.campaign_id,
                      ok=result.ok, schedules=result.schedules_run,
                      violations=len(result.violations))
+
+
+def _recover_skip(name: str, cause: Exception):
+    REGISTRY.inc("service.recover_skipped")
+    _trace.event("service.recover-skip", campaign=name, cause=str(cause))
 
 
 def _safe_id(campaign_id: str) -> bool:

@@ -281,6 +281,21 @@ class TestCli:
         assert main(["resume", str(tmp_path / "void")]) == 2
         assert "nothing to resume" in capsys.readouterr().err
 
+    def test_resume_refused_spec_is_a_usage_error(self, tmp_path, capsys):
+        """A checkpoint whose stored spec today's checks refuse (an
+        older ``kind: bogus`` run) fails with exit 2, not a traceback."""
+        import dataclasses
+        store_path = str(tmp_path / "store")
+        assert main(["campaign", "--store", store_path, "--max-schedules",
+                     "8", "--workers", "1"]) == 0
+        with CampaignStore(store_path) as store:
+            checkpoint = store.load_checkpoint()
+            store.save_checkpoint(dataclasses.replace(
+                checkpoint, spec=dict(checkpoint.spec, kind="bogus")))
+        capsys.readouterr()
+        assert main(["resume", store_path, "--workers", "1"]) == 2
+        assert "stored spec refused" in capsys.readouterr().err
+
     def test_interrupt_exits_130(self, tmp_path, monkeypatch, capsys):
         import repro.service as service
 

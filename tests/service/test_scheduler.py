@@ -415,12 +415,14 @@ class TestCancelAndDrain:
             "spec": dict(CampaignSpec(**SMALL).payload(),
                          max_schedules="12"),
             "wall_budget": None, "wave_budget": None}))
+        (tmp_path / "svc" / "listed").mkdir()
+        (tmp_path / "svc" / "listed" / "campaign.json").write_text("[]")
         before = REGISTRY.snapshot()
         again = CampaignScheduler(str(tmp_path / "svc"), workers=1,
                                   round_capacity=6)
         assert again.recover() == [good]
         counters = REGISTRY.delta(before)["counters"]
-        assert counters.get("service.recover_skipped") == 1
+        assert counters.get("service.recover_skipped") == 2
         with pytest.raises(CampaignNotFound):
             again.status("poisoned")
         again.run_until_idle()
@@ -442,9 +444,74 @@ class TestCancelAndDrain:
         again.drain()
 
 
+    def test_recover_serves_finished_campaign_with_refused_spec(
+            self, tmp_path):
+        """A finished store whose spec predates today's checks (a
+        ``kind: bogus`` run to done by an older daemon) keeps its
+        verdict servable read-only; only incomplete stores are skipped,
+        and the finished one cannot be re-queued under that spec."""
+        from repro.obs.metrics import REGISTRY
+        sched = scheduler_for(tmp_path)
+        done = sched.submit(CampaignSpec(**SMALL), campaign_id="old")
+        failed = sched.submit(CampaignSpec(seed=1, **SMALL),
+                              campaign_id="cut", wave_budget=1)
+        sched.run_until_idle()
+        digest = sched.status(done)["result_digest"]
+        assert sched.status(failed)["status"] == FAILED
+        sched.drain()
+        bogus = dict(CampaignSpec(**SMALL).payload(), kind="bogus")
+        for cid in (done, failed):
+            meta_path = tmp_path / "svc" / cid / "campaign.json"
+            meta = json.loads(meta_path.read_text())
+            meta_path.write_text(json.dumps(dict(meta, spec=bogus)))
+        before = REGISTRY.snapshot()
+        again = CampaignScheduler(str(tmp_path / "svc"), workers=1)
+        assert again.recover() == []
+        assert REGISTRY.delta(before)["counters"].get(
+            "service.recover_skipped", 0) == 0
+        status = again.status(done)
+        assert status["status"] == DONE
+        assert status["result_digest"] == digest
+        assert status["spec"] == bogus
+        assert again.status(failed)["status"] == FAILED
+        with pytest.raises(ValueError, match="read-only"):
+            again.submit(CampaignSpec(**SMALL), campaign_id=failed)
+        again.drain()
+
+    def test_resumed_campaign_traces_carry_its_id(self, tmp_path,
+                                                  monkeypatch):
+        """Several campaigns recovered at once stay tellable apart in
+        the daemon's trace: resume and memo-preload name the campaign."""
+        from repro.engine import workers as worker_module
+        from repro.engine.memo import CheckMemo
+        from repro.obs import trace as trace_mod
+        monkeypatch.setattr(worker_module, "MEMO", CheckMemo())
+        sched = scheduler_for(tmp_path)
+        ids = [sched.submit(CampaignSpec(seed=seed, **SMALL),
+                            campaign_id=f"r{seed}") for seed in (0, 1)]
+        sched._step(block=False)
+        sched.drain()
+        tracer = trace_mod.Tracer()
+        with trace_mod.installed(tracer):
+            again = CampaignScheduler(str(tmp_path / "svc"), workers=1)
+            assert again.recover() == ids
+            again.run_until_idle()
+            again.drain()
+
+        def tagged(name):
+            return sorted(record["attrs"].get("campaign")
+                          for record in tracer.records
+                          if record["name"] == name)
+
+        assert tagged("service.resume") == ids
+        # Only a store whose chunk missed the memo has entries to load.
+        assert tagged("service.memo-preload") == ["r0"]
+
+
 class TestIdlePool:
-    """An idle scheduler retires its owned pool's snapshot trees: no
-    finished campaign's nodes stay resident in a long-lived daemon."""
+    """An idle scheduler drops its owned pool's snapshot trees, so no
+    finished campaign's nodes stay resident in a long-lived daemon,
+    while forked workers stay up with their check memo warm."""
 
     def test_in_process_tree_dropped_when_idle(self, tmp_path):
         from repro.concurrency import snapshot
@@ -456,19 +523,41 @@ class TestIdlePool:
         assert snapshot._PROCESS_TREE is None
         sched.drain()
 
-    def test_forked_workers_retired_when_idle_and_refork(self, tmp_path):
+    def test_forked_workers_drop_trees_and_keep_memo(self, tmp_path,
+                                                     monkeypatch):
+        from repro.engine import workers as worker_module
+        from repro.engine.memo import CheckMemo
+        monkeypatch.setattr(worker_module, "MEMO", CheckMemo())
         sched = scheduler_for(tmp_path, workers=2)
-        first = sched.submit(CampaignSpec(seed=0, **SMALL))
+        spec = CampaignSpec(**SMALL)
+        first = sched.submit(spec)
         sched._step(block=False)
-        assert sched.pool._pools is not None
+        pools = list(sched.pool._pools)
+        assert False in [pool.submit(_worker_tree_dropped).result()
+                         for pool in pools]
         sched.run_until_idle()
-        assert sched.pool._pools is None
-        second = sched.submit(CampaignSpec(seed=1, **SMALL))
+        assert sched.pool._pools == pools
+        assert [pool.submit(_worker_tree_dropped).result()
+                for pool in pools] == [True, True]
+        second = sched.submit(spec)
         sched.run_until_idle()
-        assert sched.pool._pools is None
-        for cid in (first, second):
-            assert sched.status(cid)["status"] == DONE
+        assert sched.pool._pools == pools      # the same workers
+        misses = [_memo_misses(sched, cid) for cid in (first, second)]
+        assert sched.status(second)["result_digest"] \
+            == sched.status(first)["result_digest"]
+        # Retired workers would re-fork cold and miss again.
+        assert misses[0] > 0 and misses[1] == 0, misses
         sched.drain()
+
+
+def _worker_tree_dropped() -> bool:
+    from repro.concurrency import snapshot
+    return snapshot._PROCESS_TREE is None
+
+
+def _memo_misses(sched, campaign_id) -> int:
+    stats = sched._campaigns[campaign_id].driver.stats
+    return sum(table["misses"] for table in stats.values())
 
 
 class TestLiveness:
